@@ -296,8 +296,6 @@ int run() {
                  std::to_string(snap.counter("cluster.stolen"))});
   table.add_row({"steals skipped (unprofitable)",
                  std::to_string(snap.counter("cluster.steal_skipped"))});
-  table.add_row({"cross-gateway fills",
-                 std::to_string(snap.counter("cluster.fills"))});
   table.add_row({"wrong answers", std::to_string(victims_wrong + flood_wrong)});
   table.add_row({"flood wall (s)", common::Table::num(flood_wall, 3)});
   std::printf("%s", table.to_string().c_str());

@@ -1,9 +1,10 @@
 // Non-cryptographic hashing and cache-key helpers shared by the serving
 // layer: shard selection in the sharded registry and key derivation in
-// the specialization cache. SHA-256 (common/sha256.hpp) stays the
+// the tiered caches. SHA-256 (common/sha256.hpp) stays the
 // content-address; FNV-1a is only ever a bucket/shard discriminator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +27,12 @@ inline std::uint64_t fnv1a_64(std::string_view s) {
 /// need to be a power of two.
 inline std::size_t shard_index(std::string_view key, std::size_t shard_count) {
   return static_cast<std::size_t>(fnv1a_64(key) % shard_count);
+}
+
+/// Fold `value` into the running hash `seed` (boost::hash_combine's
+/// mix): field-wise hashes of composite cache keys.
+inline void hash_mix(std::size_t& seed, std::size_t value) {
+  seed ^= value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
 }
 
 /// Append one component to a composite cache key. Components are joined

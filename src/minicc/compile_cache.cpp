@@ -1,7 +1,6 @@
 #include "minicc/compile_cache.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 #include "common/sha256.hpp"
@@ -156,74 +155,7 @@ TuCompileResult CompileCache::compile(const common::Vfs& vfs,
                                       const std::string& source,
                                       const CompileFlags& flags,
                                       const TargetSpec& target) {
-  if (!observer_) return compile_impl(vfs, source, flags, target);
-  const auto start = std::chrono::steady_clock::now();
-  TuCompileResult result = compile_impl(vfs, source, flags, target);
-  // A preprocess failure resolves no machine module (pp_hash empty) and
-  // counts as neither hit nor compile internally — emit no event, so
-  // telemetry stays equal to tu_hits()/tu_compiles() on every path.
-  if (!result.pp_hash.empty()) {
-    CompileEvent event;
-    event.tu_cache_hit = result.tu_cache_hit;
-    event.disk_hit = result.disk_hit;
-    event.ok = result.ok;
-    event.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    observer_(event);
-  }
-  return result;
-}
-
-std::string CompileCache::fast_key(const std::string& source,
-                                   const CompileFlags& flags,
-                                   const TargetSpec& target) {
-  // Ordered defines, like the info key below: effective-define
-  // resolution is last-definition-wins, so order is part of the input.
-  std::string key;
-  for (const auto& d : flags.defines) {
-    key += d;
-    key += '\x1e';
-  }
-  key += '\x1f';
-  for (const auto& dir : flags.include_dirs) {
-    key += dir;
-    key += '\x1e';
-  }
-  key += '\x1f';
-  key += flags.openmp ? "omp" : "noomp";
-  key += '\x1f';
-  key += 'O';
-  key += std::to_string(flags.opt_level);
-  key += '\x1f';
-  key += source;
-  key += '\x1f';
-  key += target.to_string();
-  return key;
-}
-
-TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
-                                           const std::string& source,
-                                           const CompileFlags& flags,
-                                           const TargetSpec& target) {
   TuCompileResult result;
-
-  // Wait-free fast path: a completed successful compile of the same
-  // request tuple is returned from the pinned snapshot without touching
-  // any memo-map mutex (one cache instance serves one source tree, so
-  // path -> content is stable and the tuple determines the output).
-  const std::string request_key = fast_key(source, flags, target);
-  {
-    const auto fast = fast_path_.read();
-    const auto it = fast->find(request_key);
-    if (it != fast->end()) {
-      tu_hits_.fetch_add(1);
-      result = *it->second;
-      result.tu_cache_hit = true;
-      result.disk_hit = false;
-      return result;
-    }
-  }
 
   // The info key must preserve flag ORDER: canonical() sorts, but the
   // effective-define resolution is last-definition-wins, so
@@ -274,39 +206,21 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
   key.opt_level = flags.opt_level;
   key.target = target;
 
-  bool hit = false;
-  const std::string machine_key = key.to_string();
-  const auto machine = machines_.get_or_compute(
-      machine_key,
-      [&]() -> std::shared_ptr<const MachineEntry> {
-        auto entry = std::make_shared<MachineEntry>();
-        // Transient-failure injection (flaky builder / I/O): fail this
-        // resolution, but erase the entry *before* it is published so no
-        // later requester inherits the failure as a hit — the next
-        // compile of this key elects a fresh leader and retries. Counted
-        // as a (failed) compile attempt so observer-side compile counts
-        // stay equal to tu_compiles().
+  using Machines = decltype(machines_);
+  common::CacheEvent::Kind how = common::CacheEvent::Kind::Hit;
+  const auto tu = machines_.get(
+      key,
+      [&]() -> Machines::Computed {
+        auto entry = std::make_shared<CompiledTu>();
+        // Transient-failure injection (flaky builder / I/O): not kept,
+        // so the next compile of this key elects a fresh leader and
+        // retries.
         if (fault_hook_) {
           if (auto injected = fault_hook_(key)) {
-            tu_compiles_.fetch_add(1);
             entry->error = {"build", std::move(*injected)};
-            machines_.erase(machine_key);
-            return entry;
+            return {std::move(entry), false};
           }
         }
-        // Persistent tier between the in-memory map and the compiler:
-        // only the single-flight leader probes it, so concurrent callers
-        // of one key deserialize at most once.
-        if (disk_tier_) {
-          if (auto revived = disk_tier_->load(key)) {
-            tu_disk_hits_.fetch_add(1);
-            entry->machine = std::move(revived);
-            entry->ok = true;
-            entry->from_disk = true;
-            return entry;
-          }
-        }
-        tu_compiles_.fetch_add(1);
         const auto parsed = parses_.get_or_compute(pp->hash, [&] {
           return std::make_shared<const ParseEntry>(
               ParseEntry{parse(pp->output)});
@@ -314,7 +228,7 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
         if (!parsed->parsed.ok) {
           entry->error = {"parse",
                           parsed->parsed.error + " [" + source + "]"};
-          return entry;
+          return {std::move(entry)};
         }
         IrGenOptions gen_options;
         gen_options.openmp = flags.openmp;
@@ -322,44 +236,25 @@ TuCompileResult CompileCache::compile_impl(const common::Vfs& vfs,
         IrGenResult gen = generate_ir(parsed->parsed.tu, gen_options);
         if (!gen.ok) {
           entry->error = {"irgen", gen.error};
-          return entry;
+          return {std::move(entry)};
         }
         // Target-independent cleanup at the container level, then the
         // target-specific lowering — identical to compile_to_target.
         optimize(gen.module, std::min(flags.opt_level, 1));
-        entry->machine = std::make_shared<const MachineModule>(
-            lower(std::move(gen.module), target));
+        entry->machine = lower(std::move(gen.module), target);
         entry->ok = true;
-        return entry;
+        return {std::move(entry)};
       },
-      &hit);
-  // Persist a freshly compiled module AFTER the single-flight publish,
-  // so waiters for this TU are never blocked on serialization and disk
-  // I/O (mirrors the spec cache). Only successes go to disk: failures
-  // are cheap to rediscover and a persisted one could outlive its bug.
-  if (!hit && disk_tier_ && machine->ok && !machine->from_disk) {
-    disk_tier_->store(key, *machine->machine);
-  }
-  if (hit) tu_hits_.fetch_add(1);
-  // Set before the failure return so a *cached failed* module still
-  // reports as the hit it was counted as (telemetry mirrors tu_hits()).
-  result.tu_cache_hit = hit;
-  result.disk_hit = !hit && machine->from_disk;
-  if (!machine->ok) {
-    result.error = machine->error;
+      &how);
+  // A kept failure still reports as the hit it was counted as.
+  result.tu_cache_hit = how == common::CacheEvent::Kind::Hit;
+  result.disk_hit = how == common::CacheEvent::Kind::TierHit;
+  if (!tu->ok) {
+    result.error = tu->error;
     return result;
   }
-  result.machine = machine->machine;
+  result.machine = std::shared_ptr<const MachineModule>(tu, &tu->machine);
   result.ok = true;
-  // Publish the success into the lock-free tier so subsequent requests
-  // of this exact tuple skip the memo maps entirely. Stored with the
-  // hit/disk flags cleared — a fast-path hit sets its own.
-  auto stored = std::make_shared<TuCompileResult>(result);
-  stored->tu_cache_hit = false;
-  stored->disk_hit = false;
-  fast_path_.update([&](FastMap& map) {
-    map[request_key] = std::move(stored);
-  });
   return result;
 }
 

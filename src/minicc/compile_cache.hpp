@@ -13,7 +13,8 @@
 // single-flight, content-addressed cache of full per-TU compiles:
 // preprocess results memoize by (source, macro-relevant defines, include
 // dirs), parses by preprocessed-content hash, and machine modules by
-// (source, post-preprocess hash, codegen-relevant flags, TargetSpec).
+// (source, post-preprocess hash, codegen-relevant flags, TargetSpec) in
+// a common::TieredCache with an optional persistent tier.
 // Two deployments that disagree on build options but agree on a TU's
 // preprocessed text and target share that TU's compiled module.
 #pragma once
@@ -21,17 +22,16 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/rcu.hpp"
+#include "common/hashing.hpp"
+#include "common/tiered_cache.hpp"
 #include "common/vfs.hpp"
 #include "minicc/driver.hpp"
 #include "minicc/lower.hpp"
@@ -121,7 +121,32 @@ struct TuKey {
 
   /// Collision-free composite ('\x1f'-joined, like service::SpecKey).
   std::string to_string() const;
+
+  friend bool operator==(const TuKey&, const TuKey&) = default;
 };
+
+struct TuKeyHash {
+  std::size_t operator()(const TuKey& key) const {
+    std::size_t h = std::hash<std::string>{}(key.pp_hash);
+    common::hash_mix(h, std::hash<std::string>{}(key.source));
+    common::hash_mix(h, static_cast<std::size_t>(key.openmp));
+    common::hash_mix(h, static_cast<std::size_t>(key.opt_level));
+    common::hash_mix(h, TargetSpecHash{}(key.target));
+    return h;
+  }
+};
+
+/// One TU's machine-module resolution: the compiled module, or the
+/// compile error that deterministically prevents it.
+struct CompiledTu {
+  bool ok = false;
+  CompileError error;
+  MachineModule machine;  // meaningful when ok
+};
+
+/// The persistent tier under the machine-module level (the serving
+/// layer's ArtifactTier implements it).
+using TuTier = common::CacheTier<TuKey, CompiledTu>;
 
 struct TuCompileResult {
   bool ok = false;
@@ -138,22 +163,6 @@ struct TuCompileResult {
   bool disk_hit = false;
 };
 
-/// Optional persistent second tier under the in-memory TU cache: the
-/// serving layer's ArtifactStore adapters implement this. load() returns
-/// a module previously persisted under the key (or null), store()
-/// persists a successfully compiled one. Implementations must be safe to
-/// call from any thread and must never throw (a failing disk tier
-/// degrades to a miss/compile). Only the elected single-flight builder
-/// consults this tier, so an implementation may stack further levels
-/// beneath the local disk (the serving layer's TuDistributionTier pulls
-/// missing TUs from remote registry peers here).
-class TuDiskTier {
-public:
-  virtual ~TuDiskTier() = default;
-  virtual std::shared_ptr<const MachineModule> load(const TuKey& key) = 0;
-  virtual void store(const TuKey& key, const MachineModule& machine) = 0;
-};
-
 /// Thread-safe single-flight compile cache. One instance serves one
 /// source tree (scan and preprocess keys assume path -> content is
 /// stable); the build farm keeps one per source-image digest.
@@ -165,47 +174,36 @@ public:
 /// unbounded option spaces.
 class CompileCache {
 public:
-  /// Telemetry event, one per machine-module cache resolution: whether
-  /// the module (possibly a cached *failure*) was reused, whether the TU
-  /// compiled, and the call's wall seconds (for a hit, the lookup cost;
-  /// for a miss, the full preprocess→lower pipeline). Preprocess
-  /// failures resolve no module and emit no event, so observer-side
-  /// hit/compile counts stay equal to tu_hits()/tu_compiles().
-  struct CompileEvent {
-    bool tu_cache_hit = false;
-    /// Revived from the persistent tier (no compilation performed).
-    bool disk_hit = false;
-    bool ok = false;
-    double seconds = 0.0;
-  };
-  using Observer = std::function<void(const CompileEvent&)>;
-
   CompileCache() = default;
   CompileCache(const CompileCache&) = delete;
   CompileCache& operator=(const CompileCache&) = delete;
 
   /// Install the telemetry observer (the serving layer points it at its
-  /// metrics registry). NOT thread-safe with respect to concurrent
+  /// metrics registry): one event per machine-module resolution.
+  /// Preprocess failures resolve no module and emit no event, so
+  /// observer-side hit/compile counts stay equal to
+  /// tu_hits()/tu_compiles(). NOT thread-safe with respect to concurrent
   /// compile(): set it once, before the cache starts serving.
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
+  void set_observer(common::CacheObserver observer) {
+    machines_.set_observer(std::move(observer));
+  }
 
   /// Attach (or detach, with nullptr) the persistent tier consulted on
-  /// in-memory misses (memory hit → disk hit → compile; the single-flight
-  /// election spans tiers). The tier must outlive the cache. NOT
-  /// thread-safe with respect to concurrent compile(): set it once,
-  /// before the cache starts serving.
-  void set_disk_tier(TuDiskTier* tier) { disk_tier_ = tier; }
+  /// in-memory misses (memory hit → tier hit → compile). The tier must
+  /// outlive the cache. NOT thread-safe with respect to concurrent
+  /// compile(): set it once, before the cache starts serving.
+  void set_tier(TuTier* tier) { machines_.set_tier(tier); }
 
-  /// Failure-injection hook, consulted by the single-flight leader before
-  /// resolving a machine module: a returned string fails that resolution
-  /// with the given message, modeling a transient infrastructure failure
-  /// (flaky builder, I/O error). Transient failures are never retained —
-  /// the entry is erased before publication, so the next request for the
-  /// key elects a fresh leader and recompiles. Deterministic *compile*
-  /// failures (bad source) stay cached as before: retrying those cannot
-  /// help. minicc stays service-agnostic; the build farm installs a hook
-  /// that consults the serving layer's fault plan. NOT thread-safe with
-  /// respect to concurrent compile(): set it once, before serving.
+  /// Failure-injection hook, consulted by the single-flight leader after
+  /// the tier misses, before compiling: a returned string fails that
+  /// resolution with the given message, modeling a transient
+  /// infrastructure failure (flaky builder, I/O error). Transient
+  /// failures are never kept — the next request for the key elects a
+  /// fresh leader and recompiles. Deterministic *compile* failures (bad
+  /// source) stay cached: retrying those cannot help. minicc stays
+  /// service-agnostic; the build farm installs a hook that consults the
+  /// serving layer's fault plan. NOT thread-safe with respect to
+  /// concurrent compile(): set it once, before serving.
   using FaultHook = std::function<std::optional<std::string>(const TuKey&)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
@@ -220,84 +218,15 @@ public:
   // Monotonic statistics since construction.
   /// Preprocessor runs actually performed.
   std::size_t preprocess_runs() const { return preprocess_runs_.load(); }
-  /// Machine-module compilations actually performed (cache misses).
-  std::size_t tu_compiles() const { return tu_compiles_.load(); }
+  /// Machine-module compilations attempted (cache misses, including
+  /// injected failures).
+  std::size_t tu_compiles() const { return machines_.computes(); }
   /// Compile requests served from the machine-module cache.
-  std::size_t tu_hits() const { return tu_hits_.load(); }
+  std::size_t tu_hits() const { return machines_.hits(); }
   /// Modules revived from the persistent tier instead of compiling.
-  std::size_t tu_disk_hits() const { return tu_disk_hits_.load(); }
+  std::size_t tu_disk_hits() const { return machines_.tier_hits(); }
 
 private:
-  TuCompileResult compile_impl(const common::Vfs& vfs,
-                               const std::string& source,
-                               const CompileFlags& flags,
-                               const TargetSpec& target);
-
-  /// Request-level fast-path key: (ordered defines, include dirs, openmp,
-  /// source, opt level, target) fully determine the compile output for
-  /// one source tree, so a completed successful result can be served
-  /// before any scan/preprocess/memo-map work happens.
-  static std::string fast_key(const std::string& source,
-                              const CompileFlags& flags,
-                              const TargetSpec& target);
-
-  /// Single-flight memo map: the first requester of a key runs `compute`,
-  /// concurrent requesters block on its shared_future. Entries are only
-  /// ever evicted by erase() — compiles are deterministic, so genuine
-  /// compile failures cache too; only injected/transient failures (see
-  /// set_fault_hook) are erased.
-  template <typename V>
-  class SingleFlightMap {
-  public:
-    std::shared_ptr<const V> get_or_compute(
-        const std::string& key,
-        const std::function<std::shared_ptr<const V>()>& compute,
-        bool* hit = nullptr) {
-      std::shared_future<std::shared_ptr<const V>> future;
-      std::promise<std::shared_ptr<const V>> promise;
-      bool leader = false;
-      {
-        std::lock_guard lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end()) {
-          future = it->second;
-        } else {
-          future = promise.get_future().share();
-          entries_.emplace(key, future);
-          leader = true;
-        }
-      }
-      if (!leader) {
-        if (hit) *hit = true;
-        return future.get();
-      }
-      if (hit) *hit = false;
-      try {
-        promise.set_value(compute());
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-      return future.get();
-    }
-
-    /// Drop the entry for `key`, if any. Used for transient-failure
-    /// poisoning control: the leader erases its own entry *before* the
-    /// failure is published, so no later requester can observe it as a
-    /// hit — waiters already blocked on the future still receive the
-    /// failure (and retry one level up), new requesters elect a fresh
-    /// leader.
-    void erase(const std::string& key) {
-      std::lock_guard lock(mutex_);
-      entries_.erase(key);
-    }
-
-  private:
-    std::mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const V>>>
-        entries_;
-  };
-
   struct PpEntry {
     bool ok = false;
     std::string error;
@@ -307,37 +236,18 @@ private:
   struct ParseEntry {
     ParseResult parsed;
   };
-  struct MachineEntry {
-    bool ok = false;
-    CompileError error;
-    std::shared_ptr<const MachineModule> machine;
-    /// Revived from the persistent tier by the single-flight leader.
-    bool from_disk = false;
-  };
 
-  Observer observer_;  // set once before serving; called after each compile
-  TuDiskTier* disk_tier_ = nullptr;  // set once before serving
-  FaultHook fault_hook_;             // set once before serving
+  FaultHook fault_hook_;  // set once before serving
 
-  // Lock-free hit tier in front of the memo maps: completed *successful*
-  // compiles keyed by fast_key(). Readers pin an RCU snapshot and probe
-  // without any mutex; the slow path publishes after resolution. Failures
-  // (deterministic or transient) never enter — they keep their existing
-  // machines_-map semantics exactly.
-  using FastMap =
-      std::unordered_map<std::string, std::shared_ptr<const TuCompileResult>>;
-  common::rcu::Snapshot<FastMap> fast_path_;
-
-  SingleFlightMap<TargetFlagInfo> infos_;   // flags.canonical()
-  SingleFlightMap<SourceScan> scans_;       // source + dirs_suffix
-  SingleFlightMap<PpEntry> pps_;            // preprocess_key(...)
-  SingleFlightMap<ParseEntry> parses_;      // pp hash
-  SingleFlightMap<MachineEntry> machines_;  // TuKey::to_string()
+  // Memo levels under the machine-module level; compiles are
+  // deterministic, so every result (failures included) is kept.
+  common::SingleFlightMap<std::string, TargetFlagInfo> infos_;  // flag list
+  common::SingleFlightMap<std::string, SourceScan> scans_;  // source + dirs
+  common::SingleFlightMap<std::string, PpEntry> pps_;  // preprocess_key(...)
+  common::SingleFlightMap<std::string, ParseEntry> parses_;  // pp hash
+  common::TieredCache<TuKey, CompiledTu, TuKeyHash> machines_;
 
   std::atomic<std::size_t> preprocess_runs_{0};
-  std::atomic<std::size_t> tu_compiles_{0};
-  std::atomic<std::size_t> tu_hits_{0};
-  std::atomic<std::size_t> tu_disk_hits_{0};
 };
 
 }  // namespace xaas::minicc

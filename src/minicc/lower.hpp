@@ -6,8 +6,10 @@
 // refuse to execute it on incompatible hardware.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
+#include "common/hashing.hpp"
 #include "isa/isa.hpp"
 #include "minicc/ir.hpp"
 
@@ -19,6 +21,18 @@ struct TargetSpec {
   int opt_level = 2;
 
   std::string to_string() const;
+
+  friend bool operator==(const TargetSpec&, const TargetSpec&) = default;
+};
+
+/// Field-wise hash for cache keys that embed a target.
+struct TargetSpecHash {
+  std::size_t operator()(const TargetSpec& target) const {
+    std::size_t h = static_cast<std::size_t>(target.visa);
+    common::hash_mix(h, static_cast<std::size_t>(target.openmp));
+    common::hash_mix(h, static_cast<std::size_t>(target.opt_level));
+    return h;
+  }
 };
 
 /// Final, non-portable compilation artifact: target-tagged IR, the

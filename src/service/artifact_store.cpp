@@ -40,13 +40,15 @@ std::optional<std::string> read_file(const fs::path& path) {
 /// Atomic publish: write to a unique sibling temp file, then rename.
 /// Readers (this process or another sharing the directory) either see
 /// the old complete file or the new complete file, never a partial one.
-bool write_file_atomic(const fs::path& path, std::string_view contents,
-                       std::uint64_t unique_seq) {
+bool write_file_atomic(const fs::path& path, std::string_view contents) {
+  // Unique across every store of this process (several may share one
+  // directory) and, through the pid, across processes.
+  static std::atomic<std::uint64_t> temp_seq{0};
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
   fs::path temp = path.parent_path() /
                   (".tmp-" + std::to_string(::getpid()) + "-" +
-                   std::to_string(unique_seq) + "-" +
+                   std::to_string(temp_seq.fetch_add(1) + 1) + "-" +
                    path.filename().string());
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -161,7 +163,7 @@ void ArtifactStore::write_index_locked() {
     entries.push_back(std::move(entry));
   }
   doc["entries"] = std::move(entries);
-  write_file_atomic(fs::path(options_.dir) / kIndexName, doc.dump(), ++temp_seq_);
+  write_file_atomic(fs::path(options_.dir) / kIndexName, doc.dump());
 }
 
 void ArtifactStore::flush_index() {
@@ -222,7 +224,7 @@ bool ArtifactStore::publish_blob(const std::string& digest,
     // the caller degrades exactly as on a real failed write (the store
     // is simply not warm for this key).
     if (XAAS_FAULT_POINT(fault::kStoreWrite, digest) ||
-        !write_file_atomic(blob_path(digest), blob, ++temp_seq_)) {
+        !write_file_atomic(blob_path(digest), blob)) {
       return false;
     }
     auto& info = blobs_[digest];
@@ -541,7 +543,7 @@ common::Json deployed_app_to_json(const DeployedApp& app) {
 }
 
 std::shared_ptr<const DeployedApp> deployed_app_from_json(
-    const common::Json& doc, bool predecode, std::string* error) {
+    const common::Json& doc, std::string* error) {
   auto app = std::make_shared<DeployedApp>();
   try {
     const Json* image_doc = doc.find("image");
@@ -585,63 +587,46 @@ std::shared_ptr<const DeployedApp> deployed_app_from_json(
     *error = std::string("deployment document malformed: ") + e.what();
     return nullptr;
   }
-  if (predecode) {
-    app->decoded = std::make_shared<const vm::DecodedProgram>(
-        vm::DecodedProgram::build(app->program));
-  }
+  app->decoded = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::build(app->program));
   app->ok = true;
   return app;
 }
 
-// ---- Cache tier adapters -------------------------------------------------
+// ---- Artifact codecs -----------------------------------------------------
 
-std::shared_ptr<const DeployedApp> SpecArtifactTier::load(const SpecKey& key) {
-  const std::string composite = key.to_string();
-  const auto payload = store_.get(kSpecArtifactKind, composite);
-  if (!payload) return nullptr;
+std::string SpecCodec::encode(const DeployedApp& app) {
+  return deployed_app_to_json(app).dump();
+}
+
+std::shared_ptr<const DeployedApp> SpecCodec::decode(
+    const std::string& payload) {
   std::string error;
-  std::shared_ptr<const DeployedApp> app;
   try {
-    app = deployed_app_from_json(Json::parse(*payload), predecode_, &error);
+    return deployed_app_from_json(Json::parse(payload), &error);
   } catch (const common::JsonError&) {
-    app = nullptr;
-  }
-  if (!app) {
-    // Hash-valid payload that no longer deserializes (format drift or a
-    // serializer bug): drop it so the next request rebuilds cleanly.
-    store_.note_corrupt(kSpecArtifactKind, composite);
     return nullptr;
   }
-  return app;
 }
 
-void SpecArtifactTier::store(const SpecKey& key, const DeployedApp& app) {
-  if (!app.ok) return;
-  store_.put(kSpecArtifactKind, key.to_string(), deployed_app_to_json(app).dump());
+std::string TuCodec::encode(const minicc::CompiledTu& tu) {
+  return machine_module_to_json(tu.machine).dump();
 }
 
-std::shared_ptr<const minicc::MachineModule> TuArtifactTier::load(
-    const minicc::TuKey& key) {
-  const std::string composite = key.to_string();
-  const auto payload = store_.get(kTuArtifactKind, composite);
-  if (!payload) return nullptr;
+std::shared_ptr<const minicc::CompiledTu> TuCodec::decode(
+    const std::string& payload) {
   std::string error;
   std::optional<minicc::MachineModule> machine;
   try {
-    machine = machine_module_from_json(Json::parse(*payload), &error);
+    machine = machine_module_from_json(Json::parse(payload), &error);
   } catch (const common::JsonError&) {
-    machine = std::nullopt;
-  }
-  if (!machine) {
-    store_.note_corrupt(kTuArtifactKind, composite);
     return nullptr;
   }
-  return std::make_shared<const minicc::MachineModule>(std::move(*machine));
-}
-
-void TuArtifactTier::store(const minicc::TuKey& key,
-                           const minicc::MachineModule& machine) {
-  store_.put(kTuArtifactKind, key.to_string(), machine_module_to_json(machine).dump());
+  if (!machine) return nullptr;
+  auto tu = std::make_shared<minicc::CompiledTu>();
+  tu->ok = true;
+  tu->machine = std::move(*machine);
+  return tu;
 }
 
 }  // namespace xaas::service

@@ -42,13 +42,6 @@
 
 namespace xaas::service {
 
-/// Blob kinds the serving tiers persist. The kind participates in the
-/// content address (blob_digest), so "spec" and "tu" blobs never collide
-/// even for equal keys; the distribution layer uses the same constants
-/// when it resolves a cache key to a wire digest.
-inline constexpr std::string_view kSpecArtifactKind = "spec";
-inline constexpr std::string_view kTuArtifactKind = "tu";
-
 struct ArtifactStoreOptions {
   /// Root directory; created (with parents) if absent.
   std::string dir;
@@ -71,8 +64,8 @@ struct ArtifactStoreOptions {
 /// evicted underneath a reader degrades to a miss. set_observer() must
 /// be called before the store starts serving.
 /// Ownership: typically owned by the Gateway (or a test/bench) and
-/// borrowed by the SpecArtifactTier / TuArtifactTier adapters installed
-/// on the caches; must outlive every cache it backs.
+/// borrowed by the ArtifactTiers installed on the caches; must outlive
+/// every cache it backs.
 class ArtifactStore {
 public:
   /// One telemetry event per store operation of interest.
@@ -212,7 +205,6 @@ private:
   std::map<std::string, BlobInfo> blobs_;  // digest -> accounting
   std::uint64_t total_bytes_ = 0;
   std::uint64_t clock_ = 0;
-  std::uint64_t temp_seq_ = 0;  // unique temp-file suffix within this store
   std::uint64_t puts_since_index_flush_ = 0;
 
   std::atomic<std::size_t> disk_hits_{0};
@@ -243,51 +235,48 @@ std::optional<minicc::MachineModule> machine_module_from_json(
 /// is rebuilt on load.
 common::Json deployed_app_to_json(const DeployedApp& app);
 /// Reconstruct a deployment: parse modules, re-link the program, verify
-/// the recorded image digest, optionally pre-decode. Returns null (with
-/// `error` set) when anything fails to parse, link, or verify.
+/// the recorded image digest, pre-decode. Returns null (with `error`
+/// set) when anything fails to parse, link, or verify.
 std::shared_ptr<const DeployedApp> deployed_app_from_json(
-    const common::Json& doc, bool predecode, std::string* error);
+    const common::Json& doc, std::string* error);
 
-// ---- Cache tier adapters -------------------------------------------------
+// ---- Artifact codecs -----------------------------------------------------
+//
+// One codec per cached value type: the blob kind it persists under, the
+// payload format, and whether stores are announced to gossip. The
+// ArtifactTier (service/distribution.hpp) is generic over them. The kind
+// participates in the content address (blob_digest), so "spec" and "tu"
+// blobs never collide even for equal keys. decode() returns null for a
+// payload that no longer deserializes.
 
-/// SpecializationCache disk tier over an ArtifactStore (kind "spec",
-/// keyed by SpecKey::to_string()).
-///
-/// Thread-safety: load()/store() are safe from any thread (the store
-/// serializes). Ownership: borrows the ArtifactStore, which must outlive
-/// the adapter; owned by the service (farm/scheduler) whose cache it
-/// backs.
-class SpecArtifactTier : public SpecDiskTier {
-public:
-  explicit SpecArtifactTier(ArtifactStore& store, bool predecode = true)
-      : store_(store), predecode_(predecode) {}
-
-  std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
-  void store(const SpecKey& key, const DeployedApp& app) override;
-
-private:
-  ArtifactStore& store_;
-  bool predecode_;
+/// Whole deployments (SpecializationCache values), keyed by
+/// SpecKey::to_string().
+struct SpecCodec {
+  using Key = SpecKey;
+  using Value = DeployedApp;
+  static constexpr std::string_view kKind = "spec";
+  /// Finished specializations are what the fleet re-requests.
+  static constexpr bool kAnnounce = true;
+  static std::string encode(const DeployedApp& app);
+  static std::shared_ptr<const DeployedApp> decode(const std::string& payload);
 };
 
-/// CompileCache disk tier over an ArtifactStore (kind "tu", keyed by
-/// TuKey::to_string()). TU artifacts are image-independent — the key's
+/// Compiled TUs (CompileCache machine-module values), keyed by
+/// TuKey::to_string(). TU artifacts are image-independent — the key's
 /// post-preprocess hash pins the content — so deployments of different
 /// source images share persisted TUs too.
-///
-/// Thread-safety / ownership: as SpecArtifactTier; one adapter serves
-/// every per-image CompileCache of a BuildFarm.
-class TuArtifactTier : public minicc::TuDiskTier {
-public:
-  explicit TuArtifactTier(ArtifactStore& store) : store_(store) {}
-
-  std::shared_ptr<const minicc::MachineModule> load(
-      const minicc::TuKey& key) override;
-  void store(const minicc::TuKey& key,
-             const minicc::MachineModule& machine) override;
-
-private:
-  ArtifactStore& store_;
+struct TuCodec {
+  using Key = minicc::TuKey;
+  using Value = minicc::CompiledTu;
+  static constexpr std::string_view kKind = "tu";
+  /// TU blobs are build intermediates. Gossiping them would replicate
+  /// the whole store ring-wide — the naive full-replication cost the
+  /// protocol exists to avoid — so they travel only by lazy pull and
+  /// delta push.
+  static constexpr bool kAnnounce = false;
+  static std::string encode(const minicc::CompiledTu& tu);
+  static std::shared_ptr<const minicc::CompiledTu> decode(
+      const std::string& payload);
 };
 
 }  // namespace xaas::service

@@ -10,32 +10,22 @@ namespace xaas::service {
 BuildFarm::BuildFarm(ShardedRegistry& registry, BuildFarmOptions options)
     : registry_(registry),
       options_(options),
-      cache_(options.cache_shards),
+      spec_tier_(make_artifact_tier<SpecCodec>(options.artifact_store,
+                                               options.distribution)),
+      tu_tier_(make_artifact_tier<TuCodec>(options.artifact_store,
+                                           options.distribution)),
       pool_(options.threads) {
-  if (options_.distribution) {
-    // Remote-registry level under both cache granularities: the elected
-    // builder pulls whole deployments and individual TUs from ring
-    // peers before compiling anything.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution,
-                                                        options_.predecode);
-    tu_tier_ = std::make_unique<TuDistributionTier>(*options_.distribution);
-    cache_.set_disk_tier(spec_tier_.get());
-  } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store,
-                                                    options_.predecode);
-    tu_tier_ = std::make_unique<TuArtifactTier>(*options_.artifact_store);
-    cache_.set_disk_tier(spec_tier_.get());
-  }
+  cache_.set_tier(spec_tier_.get());
 }
 
-void BuildFarm::set_tu_observer(minicc::CompileCache::Observer observer) {
+void BuildFarm::set_tu_observer(common::CacheObserver observer) {
   std::lock_guard lock(states_mutex_);
   tu_observer_ = std::move(observer);
 }
 
 std::shared_ptr<const BuildFarm::ImageState> BuildFarm::state_for(
     const std::string& digest, const container::Image& image) {
-  minicc::CompileCache::Observer tu_observer;
+  common::CacheObserver tu_observer;
   {
     std::lock_guard lock(states_mutex_);
     const auto it = states_.find(digest);
@@ -54,7 +44,7 @@ std::shared_ptr<const BuildFarm::ImageState> BuildFarm::state_for(
     if (tu_observer) state->tu_cache->set_observer(std::move(tu_observer));
     // TU keys are image-independent (post-preprocess hash pins the
     // content), so every per-image cache shares one persistent tier.
-    if (tu_tier_) state->tu_cache->set_disk_tier(tu_tier_.get());
+    state->tu_cache->set_tier(tu_tier_.get());
     // minicc cannot depend on the serving layer, so the fault plan is
     // bridged in via the cache's generic hook: flaky TU builds keyed by
     // source path (the k-th build attempt of one TU fails or not,
@@ -123,10 +113,9 @@ FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
   const auto app_ptr = cache_.get_or_deploy(
       key,
       [&]() -> std::shared_ptr<const DeployedApp> {
-        auto deployed = std::make_shared<DeployedApp>(build_source_deploy(
-            *image, app, plan,
-            options_.tu_cache ? state->tu_cache.get() : nullptr));
-        if (deployed->ok && options_.predecode) {
+        auto deployed = std::make_shared<DeployedApp>(
+            build_source_deploy(*image, app, plan, state->tu_cache.get()));
+        if (deployed->ok) {
           deployed->decoded = std::make_shared<const vm::DecodedProgram>(
               vm::DecodedProgram::build(deployed->program));
         }
@@ -134,12 +123,6 @@ FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
       },
       &result.cache_hit);
 
-  if (!app_ptr) {
-    result.code = ErrorCode::DeployFailed;
-    result.transient = true;  // the elected builder threw; not cached
-    result.error = "deployment failed";
-    return result;
-  }
   result.app = app_ptr;
   result.ok = app_ptr->ok;
   if (!app_ptr->ok) {

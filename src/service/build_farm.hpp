@@ -45,13 +45,6 @@ struct SourceDeployRequest {
 struct BuildFarmOptions {
   /// Worker threads for build fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Shards of the whole-deployment cache.
-  std::size_t cache_shards = 16;
-  /// Pre-decode each cached program once at build time for the VM.
-  bool predecode = true;
-  /// Route per-TU compiles through the shared compile cache. Disable to
-  /// measure the whole-deployment cache alone.
-  bool tu_cache = true;
   /// Persistent tier: when non-null, whole deployments and compiled TUs
   /// are persisted to (and revived from) this store, so a fresh farm
   /// pointed at a populated directory warm-starts with zero compiles.
@@ -103,7 +96,7 @@ public:
   /// farm creates (the Gateway points it at its metrics registry). Set it
   /// before the farm starts serving: caches created earlier keep running
   /// unobserved.
-  void set_tu_observer(minicc::CompileCache::Observer observer);
+  void set_tu_observer(common::CacheObserver observer);
 
   // TU-level statistics aggregated over every per-image compile cache.
   /// Translation-unit compilations actually performed.
@@ -128,15 +121,14 @@ private:
   ShardedRegistry& registry_;
   BuildFarmOptions options_;
   SpecializationCache cache_;
-  // Adapters over options_.artifact_store (null when no store): installed
-  // on cache_ and on every per-image TU cache the farm creates. With
-  // options_.distribution set these are the *DistributionTier variants.
-  std::unique_ptr<SpecDiskTier> spec_tier_;
-  std::unique_ptr<minicc::TuDiskTier> tu_tier_;
+  // ArtifactTiers (null without a store): installed on cache_ and on
+  // every per-image TU cache the farm creates.
+  std::unique_ptr<SpecializationCache::Tier> spec_tier_;
+  std::unique_ptr<minicc::TuTier> tu_tier_;
 
   mutable std::mutex states_mutex_;
   std::map<std::string, std::shared_ptr<const ImageState>> states_;
-  minicc::CompileCache::Observer tu_observer_;  // guarded by states_mutex_
+  common::CacheObserver tu_observer_;  // guarded by states_mutex_
 
   // Declared last, destroyed first: ~ThreadPool drains queued build
   // tasks, which still use cache_ and states_ above.

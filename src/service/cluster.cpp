@@ -110,7 +110,6 @@ Cluster::Cluster(std::vector<vm::NodeSpec> fleet, ClusterOptions options)
   failed_ = &metrics_.counter("cluster.failed");
   stolen_ = &metrics_.counter("cluster.stolen");
   steal_skipped_ = &metrics_.counter("cluster.steal_skipped");
-  fills_ = &metrics_.counter("cluster.fills");
   fabric_nanos_ = &metrics_.counter("cluster.fabric_nanos");
 
   // Registry fabric first: the gateways' peers register on it in shard
@@ -150,7 +149,6 @@ Cluster::Cluster(std::vector<vm::NodeSpec> fleet, ClusterOptions options)
                                                gateway_options);
     shard->served = &metrics_.counter("gateway." + shard->name + ".served");
     shard->stolen = &metrics_.counter("gateway." + shard->name + ".stolen");
-    shard->fills = &metrics_.counter("gateway." + shard->name + ".fills");
     shard_by_name_[shard->name] = g;
     ring_.add(shard->name);
     shards_.push_back(std::move(shard));
@@ -376,29 +374,6 @@ void Cluster::serve(std::size_t shard_index, Job job, bool stolen) {
     fabric_seconds += fabric::transfer_seconds(options_.fabric_stack, bytes);
     stolen_->add(1);
     shard.stolen->add(1);
-  }
-  // Cross-gateway cache fill: the first gateway to serve a class builds
-  // it; any other gateway serving the same class later (steal or ring
-  // change) pulls the specialized artifact over the fabric instead of
-  // rebuilding — modeled, like the steal shipment.
-  {
-    bool fill = false;
-    {
-      std::lock_guard lock(warm_mutex_);
-      auto& warm = warm_[job.class_key];
-      const bool cold_here = warm.insert(shard_index).second;
-      fill = cold_here && warm.size() > 1;
-    }
-    if (fill) {
-      // With distribution on, the registry protocol moves (and prices)
-      // the real blobs — the flat fill model would double-charge.
-      if (!fabric_) {
-        fabric_seconds += fabric::transfer_seconds(options_.fabric_stack,
-                                                   options_.fill_bytes);
-      }
-      fills_->add(1);
-      shard.fills->add(1);
-    }
   }
 
   RunResult result = shard.gateway->submit(job.request).get();

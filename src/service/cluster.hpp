@@ -13,9 +13,11 @@
 //        existing single-gateway machinery)
 //   idle dispatchers STEAL the head of the most backed-up sibling's WFQ,
 //   but only when the §6.5 bandwidth model (fabric::transfer_seconds)
-//   prices the shipment below the victim's estimated queue wait; a
-//   stolen (or hash-moved) request class lands warm on its new gateway
-//   by a modeled cross-gateway cache fill, also priced by the fabric.
+//   prices the shipment below the victim's estimated queue wait. With
+//   artifact_root set, a stolen (or hash-moved) request class finds its
+//   artifacts through the distribution layer (lazy pulls and gossip
+//   between the gateways' registry peers) — the only cross-gateway
+//   artifact path.
 //
 // Everything reconciles exactly after drain (the fairness bench gate
 // and ClusterStress assert this):
@@ -116,17 +118,10 @@ struct ClusterOptions {
   /// Victim backlog (pending jobs) required before a steal is considered.
   std::size_t steal_min_backlog = 2;
   /// Transport model for inter-gateway traffic (§6.5): steal shipments
-  /// and cross-gateway cache fills are priced by
-  /// fabric::transfer_seconds over this stack.
+  /// and (with artifact_root set) the registry protocol's blob traffic
+  /// are priced by fabric::transfer_seconds over this stack.
   fabric::MpiStack fabric_stack{"cluster fabric (container MPICH + cxi)",
                                 "mpich", "cxi", /*containerized=*/true};
-  /// Modeled bytes of a cross-gateway cache fill (specialized artifact
-  /// shipped instead of rebuilt when a sibling gateway already has the
-  /// class warm). With artifact_root set the real registry protocol
-  /// replaces this model: fills are still counted, but the bytes and
-  /// transfer time come from the actual blob traffic on the owned
-  /// DistributionFabric.
-  std::size_t fill_bytes = std::size_t{4} << 20;
   /// Artifact distribution: when non-empty, every gateway owns a
   /// persistent ArtifactStore under <artifact_root>/<gateway-name> and
   /// joins an owned DistributionFabric as a registry peer — cold classes
@@ -155,8 +150,8 @@ struct ClusterRunResult {
   std::string gateway;       // gateway that served the request
   std::string home_gateway;  // consistent-hash owner of its class
   bool stolen = false;       // served by a thief, not the home gateway
-  /// Modeled inter-gateway transfer time charged to this request (steal
-  /// shipment + cold-class cache fill), from fabric::transfer_seconds.
+  /// Modeled inter-gateway transfer time charged to this request (its
+  /// steal shipment), from fabric::transfer_seconds.
   double fabric_seconds = 0.0;
   /// Cluster admission to completion, wall seconds (includes the WFQ
   /// wait, which the per-gateway total_seconds does not see).
@@ -215,7 +210,7 @@ public:
   /// drain points (benches, tests, maintenance windows).
   void distribution_flush();
 
-  /// Cluster-level metrics (per-tenant, per-gateway, steal/fill/fabric
+  /// Cluster-level metrics (per-tenant, per-gateway, steal/fabric
   /// counters, and — with distribution on — the fabric-wide
   /// distribution.* totals). Gateway-internal metrics live in
   /// gateway(i).snapshot().
@@ -245,7 +240,6 @@ private:
     std::atomic<std::size_t> pending{0};
     telemetry::Counter* served = nullptr;
     telemetry::Counter* stolen = nullptr;  // jobs THIS gateway stole
-    telemetry::Counter* fills = nullptr;
     /// Completions on this shard (drives the gossip cadence).
     std::atomic<std::uint64_t> completions{0};
   };
@@ -275,7 +269,6 @@ private:
   telemetry::Counter* failed_ = nullptr;
   telemetry::Counter* stolen_ = nullptr;
   telemetry::Counter* steal_skipped_ = nullptr;
-  telemetry::Counter* fills_ = nullptr;
   telemetry::Counter* fabric_nanos_ = nullptr;
 
   QuotaSet quotas_;
@@ -285,11 +278,6 @@ private:
   /// before shards_ so every gateway's peer deregisters before the
   /// fabric dies.
   std::unique_ptr<DistributionFabric> fabric_;
-
-  /// Which gateways have each request class warm (first server builds,
-  /// later gateways fill over the fabric). Guarded by warm_mutex_.
-  std::mutex warm_mutex_;
-  std::map<std::string, std::set<std::size_t>> warm_;
 
   // Cluster-wide EMAs feeding the steal-profitability and retry-after
   // estimates; relaxed atomics (advisory, like the gateway's).

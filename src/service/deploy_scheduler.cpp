@@ -12,34 +12,16 @@ DeployScheduler::DeployScheduler(ShardedRegistry& registry,
                                  DeploySchedulerOptions options)
     : registry_(registry),
       options_(options),
-      cache_(options.cache_shards),
+      spec_tier_(make_artifact_tier<SpecCodec>(options.artifact_store,
+                                               options.distribution)),
       pool_(options.threads) {
-  attach_artifact_store();
+  cache_.set_tier(spec_tier_.get());
 }
 
 DeployScheduler::DeployScheduler(ShardedRegistry& registry, BuildFarm& farm,
                                  DeploySchedulerOptions options)
-    : registry_(registry),
-      options_(options),
-      cache_(options.cache_shards),
-      farm_(&farm),
-      pool_(options.threads) {
-  attach_artifact_store();
-}
-
-void DeployScheduler::attach_artifact_store() {
-  if (options_.distribution) {
-    // Remote-registry level under the disk tier: the single-flight
-    // leader pulls from ring peers before paying a lowering.
-    spec_tier_ = std::make_unique<SpecDistributionTier>(*options_.distribution,
-                                                        options_.predecode);
-  } else if (options_.artifact_store) {
-    spec_tier_ = std::make_unique<SpecArtifactTier>(*options_.artifact_store,
-                                                    options_.predecode);
-  } else {
-    return;
-  }
-  cache_.set_disk_tier(spec_tier_.get());
+    : DeployScheduler(registry, options) {
+  farm_ = &farm;
 }
 
 vm::RunResult FleetDeployResult::run(vm::Workload& workload,
@@ -101,7 +83,7 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
         // fails loudly instead of silently simulating the wrong node
         // (fleet callers run through FleetDeployResult::run / run_on).
         deployed->node_name.clear();
-        if (deployed->ok && options_.predecode) {
+        if (deployed->ok) {
           // Decode once here; every executor on every node of the fleet
           // reuses this DecodedProgram.
           deployed->decoded = std::make_shared<const vm::DecodedProgram>(
@@ -111,12 +93,6 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
       },
       &result.cache_hit);
 
-  if (!app) {
-    result.code = ErrorCode::DeployFailed;
-    result.transient = true;  // the elected deployer threw; not cached
-    result.error = "deployment failed";
-    return result;
-  }
   result.app = app;
   result.ok = app->ok;
   if (!app->ok) {

@@ -60,8 +60,8 @@ struct FleetDeployResult {
   ErrorCode code = ErrorCode::Ok;
   /// Whether a failure is plausibly transient — the elected deployer (a
   /// build, a lowering, infrastructure under it) failed, so a retry may
-  /// succeed; failed entries are never cached (spec_cache.cpp), making
-  /// retries meaningful. Plan/manifest/reconstruction failures are
+  /// succeed; failed entries are never cached (SpecializationCache keeps
+  /// only ok deployments), making retries meaningful. Plan/manifest/reconstruction failures are
   /// deterministic and reported non-transient.
   bool transient = false;
 
@@ -114,11 +114,6 @@ inline std::vector<FleetDeployResult> collect_deploys(
 struct DeploySchedulerOptions {
   /// Worker threads for deploy fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Shards of the specialization cache.
-  std::size_t cache_shards = 16;
-  /// Pre-decode each cached program for the VM once at deploy time, so
-  /// fleet executors share the DecodedProgram instead of re-decoding.
-  bool predecode = true;
   /// Persistent tier: when non-null, lowered specializations persist to
   /// (and revive from) this store across scheduler lifetimes. Borrowed —
   /// the store must outlive the scheduler.
@@ -184,15 +179,11 @@ private:
   std::shared_ptr<const IrImageManifest> manifest_for(
       const std::string& digest, const container::Image& image);
 
-  /// Install the persistent-tier adapter when options name a store.
-  void attach_artifact_store();
-
   ShardedRegistry& registry_;
   DeploySchedulerOptions options_;
   SpecializationCache cache_;
-  // Adapter over options_.artifact_store (null when no store); a
-  // SpecDistributionTier when options_.distribution is set.
-  std::unique_ptr<SpecDiskTier> spec_tier_;
+  // ArtifactTier installed on cache_ (null without a store).
+  std::unique_ptr<SpecializationCache::Tier> spec_tier_;
   BuildFarm* farm_ = nullptr;  // source-kind routing; may be null
 
   std::mutex manifests_mutex_;

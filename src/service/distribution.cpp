@@ -307,33 +307,4 @@ PeerStats DistributionPeer::stats() const {
   return stats;
 }
 
-// ---- Remote cache tiers ---------------------------------------------------
-
-std::shared_ptr<const DeployedApp> SpecDistributionTier::load(
-    const SpecKey& key) {
-  peer_.ensure_local(kSpecArtifactKind, key.to_string());
-  return local_.load(key);
-}
-
-void SpecDistributionTier::store(const SpecKey& key, const DeployedApp& app) {
-  local_.store(key, app);
-  peer_.announce(kSpecArtifactKind, key.to_string());
-}
-
-std::shared_ptr<const minicc::MachineModule> TuDistributionTier::load(
-    const minicc::TuKey& key) {
-  peer_.ensure_local(kTuArtifactKind, key.to_string());
-  return local_.load(key);
-}
-
-void TuDistributionTier::store(const minicc::TuKey& key,
-                               const minicc::MachineModule& machine) {
-  // Deliberately no announce: TU blobs are build intermediates. Gossiping
-  // them would replicate the whole store ring-wide — exactly the naive
-  // full-replication cost the protocol exists to avoid. A peer that
-  // needs a TU (new specialization sharing layers) lazy-pulls it, and
-  // delta pushes still dedup TUs at blob granularity.
-  local_.store(key, machine);
-}
-
 }  // namespace xaas::service

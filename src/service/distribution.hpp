@@ -302,7 +302,7 @@ public:
   PushResult push_full(DistributionPeer& target);
 
   /// Lazy pull: make blob_digest(kind, key) local, fetching it from the
-  /// first ring peer that can serve it. Called by the tier adapters
+  /// first ring peer that can serve it. Called by the ArtifactTier
   /// below under the caches' single-flight, so one elected leader per
   /// key fetches while the rest wait. A rejected (corrupt-in-flight)
   /// envelope is retried from the next peer. Returns true when the blob
@@ -310,9 +310,9 @@ public:
   bool ensure_local(std::string_view kind, std::string_view key);
 
   /// Mark a digest hot: it joins this peer's gossip advertisements once
-  /// it is present locally. The spec tier announces on every store
-  /// (finished specializations are what the fleet re-requests); TU
-  /// intermediates are never announced — they replicate on demand.
+  /// it is present locally. The ArtifactTier announces every store whose
+  /// codec asks for it: finished specializations (SpecCodec), never TU
+  /// intermediates (TuCodec) — those replicate on demand.
   void announce(std::string_view kind, std::string_view key);
 
   /// One gossip round: advertise (up to) the whole hot set to
@@ -348,45 +348,65 @@ private:
   std::atomic<std::uint64_t> verify_rejects_{0};
 };
 
-// ---- Remote cache tiers ---------------------------------------------------
+// ---- Cache tier -----------------------------------------------------------
 //
-// The fourth cache level (memory → disk → remote registry → build): each
-// adapter fronts the local disk tier and, on a load, first asks the peer
-// to ensure the blob is local (a no-op when it already is). Because the
-// caches consult their disk tier only from the elected single-flight
-// leader, exactly one remote fetch happens per cold key per node.
+// The persistent and remote levels under the tiered caches (memory →
+// disk → remote registry → build). Because a TieredCache consults its
+// tier only from a key's elected leader, exactly one remote fetch
+// happens per cold key per node.
 
-/// SpecDiskTier with a remote-registry level under the local store.
-class SpecDistributionTier : public SpecDiskTier {
+/// The one cache tier over an ArtifactStore, generic over the value
+/// codec (SpecCodec, TuCodec in service/artifact_store.hpp). With a
+/// DistributionPeer, load() first asks the peer to make the blob local
+/// (a no-op when it already is), and store() announces the blob to
+/// gossip when the codec says so.
+///
+/// Thread-safety: load()/store() are safe from any thread (the store and
+/// the peer serialize themselves). Ownership: borrows the store and the
+/// peer, which must outlive the tier; owned by the service (farm or
+/// scheduler) whose cache it backs.
+template <typename Codec>
+class ArtifactTier final
+    : public common::CacheTier<typename Codec::Key, typename Codec::Value> {
 public:
-  SpecDistributionTier(DistributionPeer& peer, bool predecode = true)
-      : peer_(peer), local_(peer.store(), predecode) {}
+  using Key = typename Codec::Key;
+  using Value = typename Codec::Value;
 
-  std::shared_ptr<const DeployedApp> load(const SpecKey& key) override;
-  void store(const SpecKey& key, const DeployedApp& app) override;
+  explicit ArtifactTier(ArtifactStore& store, DistributionPeer* peer = nullptr)
+      : store_(store), peer_(peer) {}
+
+  std::shared_ptr<const Value> load(const Key& key) override {
+    const std::string composite = key.to_string();
+    if (peer_) peer_->ensure_local(Codec::kKind, composite);
+    const auto payload = store_.get(Codec::kKind, composite);
+    if (!payload) return nullptr;
+    auto value = Codec::decode(*payload);
+    // Hash-valid payload that no longer deserializes (format drift or a
+    // serializer bug): drop it so the next request rebuilds cleanly.
+    if (!value) store_.note_corrupt(Codec::kKind, composite);
+    return value;
+  }
+
+  void store(const Key& key, const Value& value) override {
+    const std::string composite = key.to_string();
+    store_.put(Codec::kKind, composite, Codec::encode(value));
+    if (peer_ && Codec::kAnnounce) peer_->announce(Codec::kKind, composite);
+  }
 
 private:
-  DistributionPeer& peer_;
-  SpecArtifactTier local_;
+  ArtifactStore& store_;
+  DistributionPeer* peer_;  // null: no remote level
 };
 
-/// TuDiskTier with a remote-registry level under the local store. Unlike
-/// the spec tier, stores are NOT announced to gossip: TU blobs travel
-/// only by lazy pull and delta push, so pre-warming stays proportional
-/// to the hot-class working set, not the whole build cache.
-class TuDistributionTier : public minicc::TuDiskTier {
-public:
-  explicit TuDistributionTier(DistributionPeer& peer)
-      : peer_(peer), local_(peer.store()) {}
-
-  std::shared_ptr<const minicc::MachineModule> load(
-      const minicc::TuKey& key) override;
-  void store(const minicc::TuKey& key,
-             const minicc::MachineModule& machine) override;
-
-private:
-  DistributionPeer& peer_;
-  TuArtifactTier local_;
-};
+/// The tier a service installs from its options: over the peer's store
+/// with the remote level when `peer` is set, else over `store`; null
+/// when neither is given.
+template <typename Codec>
+std::unique_ptr<ArtifactTier<Codec>> make_artifact_tier(
+    ArtifactStore* store, DistributionPeer* peer) {
+  if (peer) return std::make_unique<ArtifactTier<Codec>>(peer->store(), peer);
+  if (store) return std::make_unique<ArtifactTier<Codec>>(*store);
+  return nullptr;
+}
 
 }  // namespace xaas::service

@@ -42,6 +42,38 @@ bool node_serves_arch(const vm::NodeSpec& node, const std::string& arch) {
   return arch == container::kArchArm64 || arch == container::kArchLlvmIrArm64;
 }
 
+/// Feeds one tiered cache's events into `<prefix>.hits`,
+/// `<prefix>.disk_hits`, `<prefix>.<computed>` and the
+/// `<prefix>.<seconds>` histogram of compute times; a failed compute also
+/// counts `<prefix>.<failures>` when that name is given.
+common::CacheObserver cache_observer(telemetry::MetricsRegistry& metrics,
+                                     const std::string& prefix,
+                                     const std::string& computed,
+                                     const std::string& seconds,
+                                     const std::string& failures = {}) {
+  auto* hits = &metrics.counter(prefix + ".hits");
+  auto* tier_hits = &metrics.counter(prefix + ".disk_hits");
+  auto* computes = &metrics.counter(prefix + "." + computed);
+  auto* failed =
+      failures.empty() ? nullptr : &metrics.counter(prefix + "." + failures);
+  auto* hist = &metrics.histogram(prefix + "." + seconds);
+  return [=](const common::CacheEvent& event) {
+    switch (event.kind) {
+      case common::CacheEvent::Kind::Hit:
+        hits->add(1);
+        break;
+      case common::CacheEvent::Kind::TierHit:
+        tier_hits->add(1);
+        break;
+      case common::CacheEvent::Kind::Computed:
+        computes->add(1);
+        hist->observe(event.seconds);
+        if (failed && !event.ok) failed->add(1);
+        break;
+    }
+  };
+}
+
 }  // namespace
 
 std::string numerics_digest(const vm::RunResult& run,
@@ -129,51 +161,15 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
   run_hist_ = &metrics_.histogram("gateway.run_seconds");
   total_hist_ = &metrics_.histogram("gateway.total_seconds");
 
-  // The existing caches report into the same registry: both
-  // whole-deployment caches (IR scheduler + source farm) feed one set of
-  // specialization metrics, the farm's per-image TU caches feed the TU
-  // metrics.
-  auto* spec_hits = &metrics_.counter("spec_cache.hits");
-  auto* spec_disk_hits = &metrics_.counter("spec_cache.disk_hits");
-  auto* spec_misses = &metrics_.counter("spec_cache.misses");
-  auto* spec_failures = &metrics_.counter("spec_cache.deploy_failures");
-  auto* lowering_hist = &metrics_.histogram("spec_cache.lowering_seconds");
-  const auto spec_observer =
-      [spec_hits, spec_disk_hits, spec_misses, spec_failures,
-       lowering_hist](const SpecializationCache::Event& event) {
-        if (event.hit) {
-          spec_hits->add(1);
-          return;
-        }
-        if (event.disk_hit) {
-          spec_disk_hits->add(1);
-          return;
-        }
-        spec_misses->add(1);
-        lowering_hist->observe(event.deploy_seconds);
-        if (!event.ok) spec_failures->add(1);
-      };
+  // The caches report into the same registry: both whole-deployment
+  // caches (IR scheduler + source farm) feed one set of specialization
+  // metrics, the farm's per-image TU caches feed the TU metrics.
+  const auto spec_observer = cache_observer(
+      metrics_, "spec_cache", "misses", "lowering_seconds", "deploy_failures");
   scheduler_.cache().set_observer(spec_observer);
   farm_.cache().set_observer(spec_observer);
-
-  auto* tu_hits = &metrics_.counter("tu_cache.hits");
-  auto* tu_disk_hits = &metrics_.counter("tu_cache.disk_hits");
-  auto* tu_compiles = &metrics_.counter("tu_cache.compiles");
-  auto* tu_hist = &metrics_.histogram("tu_cache.compile_seconds");
   farm_.set_tu_observer(
-      [tu_hits, tu_disk_hits, tu_compiles,
-       tu_hist](const minicc::CompileCache::CompileEvent& event) {
-        if (event.tu_cache_hit) {
-          tu_hits->add(1);
-          return;
-        }
-        if (event.disk_hit) {
-          tu_disk_hits->add(1);
-          return;
-        }
-        tu_compiles->add(1);
-        tu_hist->observe(event.seconds);
-      });
+      cache_observer(metrics_, "tu_cache", "compiles", "compile_seconds"));
 
   if (artifact_store_) {
     auto* store_hits = &metrics_.counter("artifact_store.disk_hits");
@@ -768,8 +764,8 @@ RunResult Gateway::execute(RunRequest& request, Clock::time_point admitted,
         out.error = deployed.error;
         return out;
       }
-      // Transient deploy failure. Failed lowerings are never cached
-      // (spec_cache.cpp / compile_cache.cpp erase before publishing), so
+      // Transient deploy failure. Failed lowerings are never kept (the
+      // tiered caches erase them before publishing), so
       // a retry elects a fresh deployer. A waiter that inherited the
       // leader's failure (cache_hit on a failed result) did not spend
       // its own attempt — it retries immediately.

@@ -1,10 +1,5 @@
 #include "service/spec_cache.hpp"
 
-#include <algorithm>
-#include <chrono>
-
-#include "common/hashing.hpp"
-
 namespace xaas::service {
 
 std::string SpecKey::to_string() const {
@@ -13,222 +8,6 @@ std::string SpecKey::to_string() const {
   common::key_append(out, selections);
   common::key_append(out, target.to_string());
   return out;
-}
-
-SpecializationCache::SpecializationCache(std::size_t shard_count) {
-  shard_count = std::max<std::size_t>(1, shard_count);
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-SpecializationCache::Shard& SpecializationCache::shard_for(
-    const std::string& key) {
-  return *shards_[common::shard_index(key, shards_.size())];
-}
-
-const SpecializationCache::Shard& SpecializationCache::shard_for(
-    const std::string& key) const {
-  return *shards_[common::shard_index(key, shards_.size())];
-}
-
-void SpecializationCache::publish_fast_path(
-    const SpecKey& key, std::shared_ptr<const DeployedApp> app,
-    std::uint64_t generation) {
-  std::lock_guard lock(publish_mutex_);
-  // A clear() since this resolution started invalidated the key: do not
-  // resurrect the entry into the fresh generation's snapshot.
-  if (generation_.load(std::memory_order_relaxed) != generation) return;
-  fast_path_.update([&](FastMap& map) { map[key] = std::move(app); });
-}
-
-std::shared_ptr<const DeployedApp> SpecializationCache::get_or_deploy(
-    const SpecKey& key, const Deployer& deploy, bool* was_hit) {
-  const std::uint64_t generation =
-      generation_.load(std::memory_order_acquire);
-
-  // Wait-free fast path: a completed successful deployment is served
-  // straight from the pinned snapshot — no shard mutex, no future, and
-  // (because the map is keyed by SpecKey) no composite-string
-  // materialization. Relaxed counter: hits_ is a statistic, not a
-  // synchronization edge.
-  {
-    const auto fast = fast_path_.read();
-    const auto it = fast->find(key);
-    if (it != fast->end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (was_hit) *was_hit = true;
-      if (observer_) {
-        Event event;
-        event.hit = true;
-        observer_(event);
-      }
-      return it->second;
-    }
-  }
-
-  const std::string composite = key.to_string();
-  Shard& shard = shard_for(composite);
-
-  std::shared_future<std::shared_ptr<const DeployedApp>> future;
-  std::promise<std::shared_ptr<const DeployedApp>> promise;
-  bool deployer = false;
-  std::uint64_t my_id = 0;
-  {
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.entries.find(composite);
-    if (it != shard.entries.end()) {
-      future = it->second.future;
-    } else {
-      future = promise.get_future().share();
-      my_id = next_id_.fetch_add(1);
-      shard.entries.emplace(composite, Entry{future, my_id});
-      deployer = true;
-    }
-  }
-
-  if (!deployer) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit) *was_hit = true;
-    if (observer_) {
-      Event event;
-      event.hit = true;
-      observer_(event);
-    }
-    return future.get();  // blocks while the elected deployer lowers
-  }
-
-  // Elected deployer: consult the persistent tier before paying the
-  // lowering. Only the leader probes the disk, so the single-flight
-  // guarantee spans both tiers — concurrent requests for one key read
-  // the blob and deserialize at most once.
-  if (disk_tier_) {
-    std::shared_ptr<const DeployedApp> revived = disk_tier_->load(key);
-    if (revived && revived->ok) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      // The caller reused a cached artifact (it paid no lowering), which
-      // is what `cache_hit` means to the fleet-result consumers.
-      if (was_hit) *was_hit = true;
-      publish_fast_path(key, revived, generation);
-      promise.set_value(revived);
-      if (observer_) {
-        Event event;
-        event.disk_hit = true;
-        observer_(event);
-      }
-      return revived;
-    }
-  }
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  lowerings_.fetch_add(1, std::memory_order_relaxed);
-  if (was_hit) *was_hit = false;
-  const auto deploy_start = std::chrono::steady_clock::now();
-  const auto notify_deployed = [&](bool ok) {
-    if (!observer_) return;
-    Event event;
-    event.deployed = true;
-    event.ok = ok;
-    event.deploy_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - deploy_start)
-                               .count();
-    observer_(event);
-  };
-  const auto erase_own_entry = [&] {
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.entries.find(composite);
-    // Erase only the entry this thread published: after a clear() race,
-    // the key may hold a newer in-flight deployment that must survive.
-    if (it != shard.entries.end() && it->second.id == my_id) {
-      shard.entries.erase(it);
-    }
-  };
-
-  std::shared_ptr<const DeployedApp> result;
-  try {
-    result = deploy();
-  } catch (...) {
-    // Never leave waiters hanging: erase the entry, then publish an
-    // empty result. Erasing FIRST matters — a requester arriving between
-    // publication and a late erase would count a completed-failed entry
-    // as a hit.
-    erase_own_entry();
-    promise.set_value(nullptr);
-    notify_deployed(false);
-    throw;
-  }
-  if (!result || !result->ok) {
-    // Failed lowerings are never cached: erase before publishing, so the
-    // failure reaches only the waiters already blocked on this future —
-    // every later requester elects a fresh deployer. (Those waiters see
-    // cache_hit=true with a failed result; the Gateway's retry loop
-    // treats that as "inherited a leader's failure" and retries
-    // immediately rather than propagating the error.)
-    erase_own_entry();
-    promise.set_value(result);
-  } else {
-    publish_fast_path(key, result, generation);
-    promise.set_value(result);
-    if (disk_tier_) {
-      // Persist after publishing so waiters are never blocked on the
-      // serialization/write; a failed store just means the next process
-      // starts cold for this key.
-      disk_tier_->store(key, *result);
-    }
-  }
-  notify_deployed(result && result->ok);
-  return result;
-}
-
-std::shared_ptr<const DeployedApp> SpecializationCache::get(
-    const SpecKey& key) const {
-  {
-    const auto fast = fast_path_.read();
-    const auto it = fast->find(key);
-    if (it != fast->end()) return it->second;
-  }
-  const std::string composite = key.to_string();
-  const Shard& shard = shard_for(composite);
-  std::shared_future<std::shared_ptr<const DeployedApp>> future;
-  {
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.entries.find(composite);
-    if (it == shard.entries.end()) return nullptr;
-    future = it->second.future;
-  }
-  // Probe semantics: an in-flight deployment is a miss, not a block; a
-  // completed-but-failed one (awaiting its deployer's cleanup) is too.
-  if (future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return nullptr;
-  }
-  const auto app = future.get();
-  return (app && app->ok) ? app : nullptr;
-}
-
-void SpecializationCache::clear() {
-  {
-    // Bump the generation before emptying the snapshot: an in-flight
-    // deployer that elected before this clear() fails its generation
-    // check and cannot resurrect its key afterwards.
-    std::lock_guard lock(publish_mutex_);
-    generation_.fetch_add(1, std::memory_order_release);
-    fast_path_.store(std::make_unique<FastMap>());
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->entries.clear();
-  }
-}
-
-std::size_t SpecializationCache::entry_count() const {
-  std::size_t count = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    count += shard->entries.size();
-  }
-  return count;
 }
 
 }  // namespace xaas::service

@@ -6,30 +6,20 @@
 // bit-identical deployed images and programs, so the cached DeployedApp
 // (image + linked program + DecodedProgram) is shared by every requester.
 //
-// The cache is single-flight: concurrent requests for one key elect a
-// single deployer; the rest block on its shared_future instead of
-// duplicating the lowering.
-//
-// Steady-state hits are lock-free: successful deployments are also
-// published into an RCU snapshot map (common/rcu.hpp) that get() and
-// get_or_deploy() probe before touching any shard mutex. Only misses —
-// which are bounded by the distinct-specialization count, not the
-// request count — fall through to the single-flight slow path, so
-// misses == lowerings and the disk-tier semantics are unchanged.
+// The cache is a common::TieredCache: lock-free hits, one elected
+// deployer per cold key, and an optional persistent tier (an
+// ArtifactTier, service/distribution.hpp) consulted by that deployer
+// only, so misses == lowerings.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
-#include "common/rcu.hpp"
+#include "common/hashing.hpp"
+#include "common/tiered_cache.hpp"
 #include "minicc/lower.hpp"
 #include "xaas/source_container.hpp"
 
@@ -47,12 +37,7 @@ struct SpecKey {
   /// Collision-free composite string (components joined with '\x1f').
   std::string to_string() const;
 
-  friend bool operator==(const SpecKey& a, const SpecKey& b) {
-    return a.digest == b.digest && a.selections == b.selections &&
-           a.target.visa == b.target.visa &&
-           a.target.openmp == b.target.openmp &&
-           a.target.opt_level == b.target.opt_level;
-  }
+  friend bool operator==(const SpecKey&, const SpecKey&) = default;
 };
 
 /// Field-wise hash so the lock-free read tier probes by SpecKey directly
@@ -60,148 +45,45 @@ struct SpecKey {
 struct SpecKeyHash {
   std::size_t operator()(const SpecKey& key) const {
     std::size_t h = std::hash<std::string>{}(key.digest);
-    const auto mix = [&h](std::size_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    mix(std::hash<std::string>{}(key.selections));
-    mix(static_cast<std::size_t>(key.target.visa));
-    mix(static_cast<std::size_t>(key.target.openmp));
-    mix(static_cast<std::size_t>(key.target.opt_level));
+    common::hash_mix(h, std::hash<std::string>{}(key.selections));
+    common::hash_mix(h, minicc::TargetSpecHash{}(key.target));
     return h;
   }
 };
 
-/// Optional persistent second tier under the in-memory cache: the
-/// serving layer's ArtifactStore adapters implement this. load() returns
-/// a previously persisted deployment (or null), store() persists a
-/// successful one. Implementations must be safe to call from any thread
-/// and must never throw (a failing disk tier degrades to a miss).
-/// Because only the elected single-flight leader consults this tier, an
-/// implementation may stack further levels beneath the local disk — the
-/// SpecDistributionTier (service/distribution.hpp) pulls from remote
-/// registry peers here, and exactly one fetch happens per cold key.
-class SpecDiskTier {
+/// Whole-deployment cache (memory hit → tier hit → deploy). Only ok
+/// deployments are kept, so a failed lowering never poisons its key.
+/// Typically owned by a DeployScheduler or BuildFarm; see TieredCache
+/// for thread-safety and ownership.
+class SpecializationCache
+    : public common::TieredCache<SpecKey, DeployedApp, SpecKeyHash> {
 public:
-  virtual ~SpecDiskTier() = default;
-  virtual std::shared_ptr<const DeployedApp> load(const SpecKey& key) = 0;
-  virtual void store(const SpecKey& key, const DeployedApp& app) = 0;
-};
-
-/// Single-flight whole-deployment cache, with an optional persistent
-/// second tier (memory hit → disk hit → miss/deploy; the single-flight
-/// election spans all tiers, so concurrent requests for one key consult
-/// the disk and deploy at most once).
-///
-/// Thread-safety: get_or_deploy(), get(), clear(), entry_count(), and
-/// the stats accessors are safe from any thread; entries live in sharded
-/// mutex-protected maps and concurrent requests for one key elect
-/// exactly one deployer (the rest block on its shared_future). The only
-/// exception is set_observer()/set_disk_tier(), which must be called
-/// before the cache starts serving.
-/// Ownership: the cache owns its entries and shares the DeployedApp with
-/// every requester via shared_ptr<const DeployedApp>; results remain
-/// valid after clear(). Typically owned by a DeployScheduler, BuildFarm,
-/// or (transitively) a Gateway.
-class SpecializationCache {
-public:
-  using Deployer = std::function<std::shared_ptr<const DeployedApp>()>;
-
-  /// One telemetry event per get_or_deploy resolution: the caller reused
-  /// an in-memory entry (hit), the elected deployer revived a persisted
-  /// deployment (disk_hit), or it deployed for real (deployed, with the
-  /// deployer's wall seconds and whether the deployment succeeded).
-  struct Event {
-    bool hit = false;
-    bool disk_hit = false;
-    bool deployed = false;
-    bool ok = false;             // meaningful when deployed
-    double deploy_seconds = 0.0; // meaningful when deployed
-  };
-  using Observer = std::function<void(const Event&)>;
-
-  explicit SpecializationCache(std::size_t shard_count = 16);
-
-  SpecializationCache(const SpecializationCache&) = delete;
-  SpecializationCache& operator=(const SpecializationCache&) = delete;
-
-  /// Return the cached deployment for `key`, or run `deploy` exactly once
-  /// across all concurrent callers of this key and cache its result.
-  /// `was_hit`, when non-null, reports whether this caller reused an
-  /// entry (true) or was the one that deployed (false). Failed
-  /// deployments (result with ok == false) are NOT cached, so a transient
-  /// failure does not poison the key.
+  /// The cached deployment for `key`, or `deploy()` (returning
+  /// shared_ptr<const DeployedApp>) run once across all concurrent
+  /// callers. `was_hit`, when non-null, reports whether this caller paid
+  /// no lowering (memory or tier hit). Waiters on a failed deployment
+  /// receive it too, with was_hit set.
+  template <typename Deploy>
   std::shared_ptr<const DeployedApp> get_or_deploy(const SpecKey& key,
-                                                   const Deployer& deploy,
-                                                   bool* was_hit = nullptr);
+                                                   Deploy&& deploy,
+                                                   bool* was_hit = nullptr) {
+    common::CacheEvent::Kind how = common::CacheEvent::Kind::Hit;
+    auto app = get(
+        key,
+        [&]() -> Computed {
+          std::shared_ptr<const DeployedApp> deployed = deploy();
+          const bool ok = deployed && deployed->ok;
+          return {std::move(deployed), ok};
+        },
+        &how);
+    if (was_hit) *was_hit = how != common::CacheEvent::Kind::Computed;
+    return app;
+  }
 
-  /// Non-blocking probe: the cached successful deployment, or nullptr
-  /// when the key is absent, still in flight, or failed.
-  std::shared_ptr<const DeployedApp> get(const SpecKey& key) const;
-
-  /// Drop every entry (e.g. after re-pushing an image family).
-  void clear();
-
-  std::size_t entry_count() const;
-
-  /// Install the telemetry observer (the Gateway points it at its
-  /// MetricsRegistry). NOT thread-safe with respect to concurrent
-  /// get_or_deploy: set it once, before the cache starts serving.
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  /// Attach (or detach, with nullptr) the persistent tier. The tier must
-  /// outlive the cache. NOT thread-safe with respect to concurrent
-  /// get_or_deploy: set it once, before the cache starts serving.
-  void set_disk_tier(SpecDiskTier* tier) { disk_tier_ = tier; }
-
-  // Monotonic statistics since construction. Every resolution is exactly
-  // one of hits() / disk_hits() / misses(); without a disk tier,
-  // disk_hits() is always zero.
-  std::size_t hits() const { return hits_.load(); }
-  std::size_t misses() const { return misses_.load(); }
-  /// Deployments revived from the persistent tier (no lowering paid).
-  std::size_t disk_hits() const { return disk_hits_.load(); }
-  /// Number of deployer invocations == lowerings actually performed.
-  std::size_t lowerings() const { return lowerings_.load(); }
-
-private:
-  struct Entry {
-    // shared_future so late arrivals during a deploy block on the result
-    // instead of re-deploying.
-    std::shared_future<std::shared_ptr<const DeployedApp>> future;
-    // Generation id: the failure-path cleanup erases only its own entry,
-    // never a newer in-flight deployment that replaced it (clear() race).
-    std::uint64_t id = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<std::string, Entry> entries;
-  };
-
-  // Keyed by SpecKey (field-wise hash/equality), not the composite
-  // string: a hit costs one hash probe with zero allocations.
-  using FastMap = std::unordered_map<SpecKey, std::shared_ptr<const DeployedApp>,
-                                     SpecKeyHash>;
-
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
-  void publish_fast_path(const SpecKey& key,
-                         std::shared_ptr<const DeployedApp> app,
-                         std::uint64_t generation);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Lock-free read tier: completed successful deployments only. Guarded
-  // for writes by publish_mutex_, which also makes the generation check
-  // atomic with the publish (a clear() can never lose to a stale insert).
-  common::rcu::Snapshot<FastMap> fast_path_;
-  std::mutex publish_mutex_;
-  std::atomic<std::uint64_t> generation_{0};
-  Observer observer_;  // set once before serving; called outside shard locks
-  SpecDiskTier* disk_tier_ = nullptr;  // set once before serving
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> disk_hits_{0};
-  std::atomic<std::size_t> lowerings_{0};
+  /// Deployer invocations == lowerings actually performed.
+  std::size_t lowerings() const { return computes(); }
+  /// Deployments revived from the tier (no lowering paid).
+  std::size_t disk_hits() const { return tier_hits(); }
 };
 
 }  // namespace xaas::service

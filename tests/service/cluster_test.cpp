@@ -545,12 +545,10 @@ TEST(ClusterStress, HotClassStealsReconcileAndStayBitIdentical) {
   const auto results = cluster.run_all(std::move(requests));
 
   std::set<std::string> digests;
-  std::set<std::string> serving_gateways;
   std::uint64_t stolen_seen = 0;
   for (const auto& result : results) {
     ASSERT_TRUE(result.result.ok) << result.result.error;
     digests.insert(result.result.numerics_digest);
-    serving_gateways.insert(result.gateway);
     if (result.stolen) {
       ++stolen_seen;
       EXPECT_NE(result.gateway, result.home_gateway);
@@ -575,9 +573,6 @@ TEST(ClusterStress, HotClassStealsReconcileAndStayBitIdentical) {
             static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(snap.counter("cluster.completed"),
             static_cast<std::uint64_t>(kRequests));
-  // Thieves that served the hot class cold filled it over the fabric.
-  EXPECT_EQ(snap.counter("cluster.fills"),
-            static_cast<std::uint64_t>(serving_gateways.size() - 1));
 }
 
 }  // namespace
