@@ -1,5 +1,7 @@
 #include "service/build_farm.hpp"
 
+#include <functional>
+
 #include "common/hashing.hpp"
 #include "service/distribution.hpp"
 #include "service/fault.hpp"
@@ -19,29 +21,22 @@ BuildFarm::BuildFarm(ShardedRegistry& registry, BuildFarmOptions options)
 }
 
 void BuildFarm::set_tu_observer(common::CacheObserver observer) {
-  std::lock_guard lock(states_mutex_);
   tu_observer_ = std::move(observer);
 }
 
 std::shared_ptr<const BuildFarm::ImageState> BuildFarm::state_for(
     const std::string& digest, const container::Image& image) {
-  common::CacheObserver tu_observer;
-  {
-    std::lock_guard lock(states_mutex_);
-    const auto it = states_.find(digest);
-    if (it != states_.end()) return it->second;
-    tu_observer = tu_observer_;
-  }
-  // Reconstruct outside the lock; concurrent first requests may both
-  // reconstruct, the map keeps whichever lands first (identical by
-  // digest).
-  auto state = std::make_shared<ImageState>();
-  SourceImageApp from_image = application_from_source_image(image);
-  if (from_image.ok) {
+  return states_.get_or_compute(digest, [&] {
+    auto state = std::make_shared<ImageState>();
+    SourceImageApp from_image = application_from_source_image(image);
+    if (!from_image.ok) {
+      state->app_error = from_image.error;
+      return std::shared_ptr<const ImageState>(std::move(state));
+    }
     state->app =
         std::make_shared<const Application>(std::move(from_image.app));
     state->tu_cache = std::make_shared<minicc::CompileCache>();
-    if (tu_observer) state->tu_cache->set_observer(std::move(tu_observer));
+    if (tu_observer_) state->tu_cache->set_observer(tu_observer_);
     // TU keys are image-independent (post-preprocess hash pins the
     // content), so every per-image cache shares one persistent tier.
     state->tu_cache->set_tier(tu_tier_.get());
@@ -56,17 +51,36 @@ std::shared_ptr<const BuildFarm::ImageState> BuildFarm::state_for(
           }
           return std::nullopt;
         });
-  } else {
-    state->app_error = from_image.error;
-  }
-  std::lock_guard lock(states_mutex_);
-  return states_
-      .emplace(digest, std::shared_ptr<const ImageState>(std::move(state)))
-      .first->second;
+    return std::shared_ptr<const ImageState>(std::move(state));
+  });
 }
 
 FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
   FleetDeployResult result;
+  const auto prepared = prepare(request, result);
+  if (!prepared) return result;
+  detail::complete(result,
+                   cache_.get_or_deploy(
+                       prepared->key, [&] { return build(*prepared); },
+                       &result.cache_hit));
+  return result;
+}
+
+void BuildFarm::deploy_into(const SourceDeployRequest& request,
+                            detail::DeployPromise promise) {
+  FleetDeployResult result;
+  const auto prepared = prepare(request, result);
+  if (!prepared) {
+    promise->set_value(std::move(result));
+    return;
+  }
+  cache_.get_or_deploy_then(prepared->key, [&] { return build(*prepared); },
+                            detail::fulfil(std::move(result),
+                                           std::move(promise)));
+}
+
+std::optional<BuildFarm::Prepared> BuildFarm::prepare(
+    const SourceDeployRequest& request, FleetDeployResult& result) {
   result.node_name = request.node.name;
   result.node = request.node;
 
@@ -74,71 +88,60 @@ FleetDeployResult BuildFarm::deploy(const SourceDeployRequest& request) {
   if (!digest) {
     result.code = ErrorCode::NotFound;
     result.error = "image not found in registry: " + request.image_reference;
-    return result;
+    return std::nullopt;
   }
-  const auto image = registry_.pull(*digest);  // shared, no layer copy
+  Prepared prepared;
+  prepared.image = registry_.pull(*digest);  // shared, no layer copy
 
-  const auto state = state_for(*digest, *image);
-  if (!state->app) {
+  prepared.state = state_for(*digest, *prepared.image);
+  if (!prepared.state->app) {
     // Reconstruction failures are a property of the image content:
     // deterministic, retrying cannot help.
     result.code = ErrorCode::DeployFailed;
-    result.error = state->app_error;
-    return result;
+    result.error = prepared.state->app_error;
+    return std::nullopt;
   }
-  const Application& app = *state->app;
 
   // The cheap, node-specific half: discovery, intersection, selection,
   // configure, target resolution. Failures never reach the caches.
-  const SourceDeployPlan plan =
-      plan_source_deploy(*image, app, request.node, request.options);
-  if (!plan.ok) {
+  prepared.plan = plan_source_deploy(*prepared.image, *prepared.state->app,
+                                     request.node, request.options);
+  if (!prepared.plan.ok) {
     // Plan failures are deterministic (bad selection, march beyond the
     // node): not transient, retrying cannot help.
     result.code = ErrorCode::DeployFailed;
-    result.error = plan.error;
-    return result;
+    result.error = prepared.plan.error;
+    return std::nullopt;
   }
-  result.configuration = plan.configuration.id();
+  result.configuration = prepared.plan.configuration.id();
 
   // Whole-deployment key: build_source_deploy is a pure function of
   // (source image, resolved option values, target) — the node only
   // contributed to resolving the plan.
-  SpecKey key;
-  key.digest = *digest;
-  key.selections =
-      common::canonical_selections(plan.configuration.option_values);
-  key.target = plan.target;
+  prepared.key.digest = *digest;
+  prepared.key.selections =
+      common::canonical_selections(prepared.plan.configuration.option_values);
+  prepared.key.target = prepared.plan.target;
+  return prepared;
+}
 
-  const auto app_ptr = cache_.get_or_deploy(
-      key,
-      [&]() -> std::shared_ptr<const DeployedApp> {
-        auto deployed = std::make_shared<DeployedApp>(
-            build_source_deploy(*image, app, plan, state->tu_cache.get()));
-        if (deployed->ok) {
-          deployed->decoded = std::make_shared<const vm::DecodedProgram>(
-              vm::DecodedProgram::build(deployed->program));
-        }
-        return deployed;
-      },
-      &result.cache_hit);
-
-  result.app = app_ptr;
-  result.ok = app_ptr->ok;
-  if (!app_ptr->ok) {
-    // The build (or injected TU fault under it) failed; failed entries
-    // are never cached, so a retry elects a fresh builder.
-    result.code = ErrorCode::DeployFailed;
-    result.transient = true;
-    result.error = app_ptr->error;
+std::shared_ptr<const DeployedApp> BuildFarm::build(const Prepared& prepared) {
+  auto deployed = std::make_shared<DeployedApp>(
+      build_source_deploy(*prepared.image, *prepared.state->app,
+                          prepared.plan, prepared.state->tu_cache.get()));
+  if (deployed->ok) {
+    deployed->decoded = std::make_shared<const vm::DecodedProgram>(
+        vm::DecodedProgram::build(deployed->program));
   }
-  return result;
+  return deployed;
 }
 
 std::future<FleetDeployResult> BuildFarm::submit(SourceDeployRequest request) {
   return detail::enqueue_deploy(
-      pool_,
-      [this, request = std::move(request)] { return deploy(request); });
+      pool_, [this, request = std::move(request)](
+                 detail::DeployPromise promise) {
+        deploy_into(request, std::move(promise));
+      });
 }
 
 std::vector<FleetDeployResult> BuildFarm::deploy_batch(
@@ -151,34 +154,25 @@ std::vector<FleetDeployResult> BuildFarm::deploy_batch(
   return detail::collect_deploys(std::move(futures));
 }
 
-std::size_t BuildFarm::tu_compiles() const {
+std::size_t BuildFarm::sum_tu(
+    std::size_t (minicc::CompileCache::*stat)() const) const {
   std::size_t total = 0;
-  std::lock_guard lock(states_mutex_);
-  for (const auto& [digest, state] : states_) {
-    (void)digest;
-    if (state->tu_cache) total += state->tu_cache->tu_compiles();
+  for (const auto& state : states_.values()) {
+    if (state->tu_cache) total += std::invoke(stat, *state->tu_cache);
   }
   return total;
+}
+
+std::size_t BuildFarm::tu_compiles() const {
+  return sum_tu(&minicc::CompileCache::tu_compiles);
 }
 
 std::size_t BuildFarm::tu_cache_hits() const {
-  std::size_t total = 0;
-  std::lock_guard lock(states_mutex_);
-  for (const auto& [digest, state] : states_) {
-    (void)digest;
-    if (state->tu_cache) total += state->tu_cache->tu_hits();
-  }
-  return total;
+  return sum_tu(&minicc::CompileCache::tu_hits);
 }
 
 std::size_t BuildFarm::tu_disk_hits() const {
-  std::size_t total = 0;
-  std::lock_guard lock(states_mutex_);
-  for (const auto& [digest, state] : states_) {
-    (void)digest;
-    if (state->tu_cache) total += state->tu_cache->tu_disk_hits();
-  }
-  return total;
+  return sum_tu(&minicc::CompileCache::tu_disk_hits);
 }
 
 }  // namespace xaas::service

@@ -21,9 +21,8 @@
 #pragma once
 
 #include <future>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,12 +58,14 @@ struct BuildFarmOptions {
 
 /// Source-container build farm (the §4.1 path at fleet scale).
 ///
-/// Thread-safety: submit(), deploy(), deploy_batch(), and the stats
-/// accessors are safe from any thread; deploy() is additionally safe to
-/// call from another scheduler's worker (the farm contributes caches,
-/// not its pool). set_tu_observer() must be called before the farm
-/// starts serving (earlier-created per-image caches keep running
-/// unobserved).
+/// Thread-safety: submit(), deploy(), deploy_into(), deploy_batch(), and
+/// the stats accessors are safe from any thread; deploy() and
+/// deploy_into() are additionally safe to call from another scheduler's
+/// worker (the farm contributes caches, not its pool). A pool task whose
+/// whole build another request is already running joins it by callback
+/// and frees its thread; the builder completes the task's future.
+/// set_tu_observer() must be called before the farm starts serving
+/// (earlier-created per-image caches keep running unobserved).
 /// Ownership: borrows the ShardedRegistry (must outlive the farm); owns
 /// its whole-deployment SpecializationCache, per-image reconstructed
 /// Applications and TU CompileCaches, and its ThreadPool. Deployed apps
@@ -87,6 +88,13 @@ public:
   /// Synchronous single deploy (the pool is bypassed; the caches are
   /// not). Safe to call from another scheduler's worker thread.
   FleetDeployResult deploy(const SourceDeployRequest& request);
+
+  /// deploy() that fulfils `promise` instead of returning, for a pool
+  /// task (this farm's or another scheduler's): when the build is
+  /// already in flight, the promise joins it and this returns at once.
+  /// An exception from planning propagates before the promise is used.
+  void deploy_into(const SourceDeployRequest& request,
+                   detail::DeployPromise promise);
 
   /// Whole-deployment cache (hits/misses/lowerings = full builds).
   const SpecializationCache& cache() const { return cache_; }
@@ -118,6 +126,24 @@ private:
   std::shared_ptr<const ImageState> state_for(const std::string& digest,
                                               const container::Image& image);
 
+  /// A planned request: its image, the image's state, the node's plan
+  /// and the whole-deployment key.
+  struct Prepared {
+    std::shared_ptr<const container::Image> image;
+    std::shared_ptr<const ImageState> state;
+    SourceDeployPlan plan;
+    SpecKey key;
+  };
+  /// Resolve and plan `request`, filling `result`'s node and
+  /// configuration; on a failure fill its error and return nullopt.
+  std::optional<Prepared> prepare(const SourceDeployRequest& request,
+                                  FleetDeployResult& result);
+  /// The whole build a cold key's elected builder runs.
+  static std::shared_ptr<const DeployedApp> build(const Prepared& prepared);
+
+  /// Sum of one statistic over every per-image TU cache.
+  std::size_t sum_tu(std::size_t (minicc::CompileCache::*stat)() const) const;
+
   ShardedRegistry& registry_;
   BuildFarmOptions options_;
   SpecializationCache cache_;
@@ -126,9 +152,8 @@ private:
   std::unique_ptr<SpecializationCache::Tier> spec_tier_;
   std::unique_ptr<minicc::TuTier> tu_tier_;
 
-  mutable std::mutex states_mutex_;
-  std::map<std::string, std::shared_ptr<const ImageState>> states_;
-  common::CacheObserver tu_observer_;  // guarded by states_mutex_
+  common::SingleFlightMap<std::string, ImageState> states_;
+  common::CacheObserver tu_observer_;  // set once before serving
 
   // Declared last, destroyed first: ~ThreadPool drains queued build
   // tasks, which still use cache_ and states_ above.

@@ -36,6 +36,31 @@ vm::RunResult FleetDeployResult::run(vm::Workload& workload,
 
 FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
   FleetDeployResult result;
+  const auto prepared = prepare(request, result);
+  if (!prepared) return result;
+  detail::complete(result, cache_.get_or_deploy(
+                               prepared->key,
+                               [&] { return lower(request, *prepared); },
+                               &result.cache_hit));
+  return result;
+}
+
+void DeployScheduler::deploy_into(const FleetDeployRequest& request,
+                                  detail::DeployPromise promise) {
+  FleetDeployResult result;
+  const auto prepared = prepare(request, result);
+  if (!prepared) {
+    promise->set_value(std::move(result));
+    return;
+  }
+  cache_.get_or_deploy_then(prepared->key,
+                            [&] { return lower(request, *prepared); },
+                            detail::fulfil(std::move(result),
+                                           std::move(promise)));
+}
+
+std::optional<DeployScheduler::Prepared> DeployScheduler::prepare(
+    const FleetDeployRequest& request, FleetDeployResult& result) {
   result.node_name = request.node.name;
   result.node = request.node;
 
@@ -43,11 +68,12 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
   if (!digest) {
     result.code = ErrorCode::NotFound;
     result.error = "image not found in registry: " + request.image_reference;
-    return result;
+    return std::nullopt;
   }
-  const auto image = registry_.pull(*digest);  // shared, no layer copy
+  Prepared prepared;
+  prepared.image = registry_.pull(*digest);  // shared, no layer copy
 
-  const auto manifest = manifest_for(*digest, *image);
+  const auto manifest = manifest_for(*digest, *prepared.image);
   const IrDeployPlan plan = plan_ir_deploy(*manifest, request.node,
                                            request.options);
   if (!plan.ok) {
@@ -55,72 +81,54 @@ FleetDeployResult DeployScheduler::deploy(const FleetDeployRequest& request) {
     // node): not transient, retrying cannot help.
     result.code = ErrorCode::DeployFailed;
     result.error = plan.error;
-    return result;
+    return std::nullopt;
   }
   result.configuration = plan.configuration;
 
-  SpecKey key;
-  key.digest = *digest;
-  key.selections = common::canonical_selections(request.options.selections);
-  key.target = plan.target;
+  prepared.key.digest = *digest;
+  prepared.key.selections =
+      common::canonical_selections(request.options.selections);
+  prepared.key.target = plan.target;
+  return prepared;
+}
 
-  const auto app = cache_.get_or_deploy(
-      key,
-      [&]() -> std::shared_ptr<const DeployedApp> {
-        // Injected lowering failure: the elected deployer fails; the
-        // cache never retains it (failed lowerings are not cached), so
-        // the gateway's retry elects a fresh deployer.
-        if (XAAS_FAULT_POINT(fault::kIrLower, key.digest)) {
-          auto failed = std::make_shared<DeployedApp>();
-          failed->error = "injected IR lowering fault for " + key.digest;
-          return failed;
-        }
-        auto deployed = std::make_shared<DeployedApp>(
-            deploy_ir_container(*image, request.node, request.options));
-        // The cached deployment is shared by every node whose plan
-        // resolves to this key, so it must not remember the node that
-        // happened to deploy first: DeployedApp::run() on a cleared name
-        // fails loudly instead of silently simulating the wrong node
-        // (fleet callers run through FleetDeployResult::run / run_on).
-        deployed->node_name.clear();
-        if (deployed->ok) {
-          // Decode once here; every executor on every node of the fleet
-          // reuses this DecodedProgram.
-          deployed->decoded = std::make_shared<const vm::DecodedProgram>(
-              vm::DecodedProgram::build(deployed->program));
-        }
-        return deployed;
-      },
-      &result.cache_hit);
-
-  result.app = app;
-  result.ok = app->ok;
-  if (!app->ok) {
-    // The deployer (lowering or the infrastructure under it) failed; the
-    // failed entry was not cached, so a retry elects a fresh deployer.
-    result.code = ErrorCode::DeployFailed;
-    result.transient = true;
-    result.error = app->error;
+std::shared_ptr<const DeployedApp> DeployScheduler::lower(
+    const FleetDeployRequest& request, const Prepared& prepared) {
+  // Injected lowering failure: the elected deployer fails; the cache
+  // never retains it (failed lowerings are not cached), so the
+  // gateway's retry elects a fresh deployer.
+  if (XAAS_FAULT_POINT(fault::kIrLower, prepared.key.digest)) {
+    auto failed = std::make_shared<DeployedApp>();
+    failed->error = "injected IR lowering fault for " + prepared.key.digest;
+    return failed;
   }
-  return result;
+  auto deployed = std::make_shared<DeployedApp>(
+      deploy_ir_container(*prepared.image, request.node, request.options));
+  // The cached deployment is shared by every node whose plan resolves to
+  // this key, so it must not remember the node that happened to deploy
+  // first: DeployedApp::run() on a cleared name fails loudly instead of
+  // silently simulating the wrong node (fleet callers run through
+  // FleetDeployResult::run / run_on).
+  deployed->node_name.clear();
+  if (deployed->ok) {
+    // Decode once here; every executor on every node of the fleet reuses
+    // this DecodedProgram.
+    deployed->decoded = std::make_shared<const vm::DecodedProgram>(
+        vm::DecodedProgram::build(deployed->program));
+  }
+  return deployed;
 }
 
 std::shared_ptr<const IrImageManifest> DeployScheduler::manifest_for(
     const std::string& digest, const container::Image& image) {
-  {
-    std::lock_guard lock(manifests_mutex_);
-    const auto it = manifests_.find(digest);
-    if (it != manifests_.end()) return it->second;
-  }
-  // Parse outside the lock; concurrent first requests may both parse,
-  // the map keeps whichever lands first (they are identical by digest).
-  auto parsed =
-      std::make_shared<const IrImageManifest>(read_ir_image_manifest(image));
-  std::lock_guard lock(manifests_mutex_);
-  return manifests_.emplace(digest, std::move(parsed)).first->second;
+  return manifests_.get_or_compute(digest, [&] {
+    return std::make_shared<const IrImageManifest>(
+        read_ir_image_manifest(image));
+  });
 }
 
-FleetDeployResult DeployScheduler::deploy(const MixedDeployRequest& request) {
+DeployScheduler::Routed DeployScheduler::route(
+    const MixedDeployRequest& request) {
   const auto digest = registry_.resolve(request.image_reference);
   if (!digest) {
     FleetDeployResult result;
@@ -152,9 +160,7 @@ FleetDeployResult DeployScheduler::deploy(const MixedDeployRequest& request) {
     source.options.march = request.march;
     source.options.opt_level = request.opt_level;
     source.options.auto_specialize = request.auto_specialize;
-    // Synchronous path: this scheduler's pool already carries the
-    // fan-out; the farm contributes only its caches.
-    return farm_->deploy(source);
+    return source;
   }
   FleetDeployRequest ir;
   ir.node = request.node;
@@ -162,14 +168,36 @@ FleetDeployResult DeployScheduler::deploy(const MixedDeployRequest& request) {
   ir.options.selections = request.selections;
   ir.options.march = request.march;
   ir.options.opt_level = request.opt_level;
-  return deploy(ir);
+  return ir;
+}
+
+FleetDeployResult DeployScheduler::deploy(const MixedDeployRequest& request) {
+  Routed routed = route(request);
+  if (const auto* source = std::get_if<SourceDeployRequest>(&routed)) {
+    // Synchronous path: this scheduler's pool already carries the
+    // fan-out; the farm contributes only its caches.
+    return farm_->deploy(*source);
+  }
+  if (const auto* ir = std::get_if<FleetDeployRequest>(&routed)) {
+    return deploy(*ir);
+  }
+  return std::get<FleetDeployResult>(std::move(routed));
 }
 
 std::future<FleetDeployResult> DeployScheduler::submit(
     MixedDeployRequest request) {
   return detail::enqueue_deploy(
-      pool_,
-      [this, request = std::move(request)] { return deploy(request); });
+      pool_, [this, request = std::move(request)](
+                 detail::DeployPromise promise) {
+        Routed routed = route(request);
+        if (const auto* source = std::get_if<SourceDeployRequest>(&routed)) {
+          farm_->deploy_into(*source, std::move(promise));
+        } else if (const auto* ir = std::get_if<FleetDeployRequest>(&routed)) {
+          deploy_into(*ir, std::move(promise));
+        } else {
+          promise->set_value(std::get<FleetDeployResult>(std::move(routed)));
+        }
+      });
 }
 
 std::vector<FleetDeployResult> DeployScheduler::deploy_batch(
@@ -185,8 +213,10 @@ std::vector<FleetDeployResult> DeployScheduler::deploy_batch(
 std::future<FleetDeployResult> DeployScheduler::submit(
     FleetDeployRequest request) {
   return detail::enqueue_deploy(
-      pool_,
-      [this, request = std::move(request)] { return deploy(request); });
+      pool_, [this, request = std::move(request)](
+                 detail::DeployPromise promise) {
+        deploy_into(request, std::move(promise));
+      });
 }
 
 std::vector<FleetDeployResult> DeployScheduler::deploy_batch(

@@ -11,11 +11,13 @@
 // pay the lowering.
 #pragma once
 
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -30,6 +32,7 @@ namespace xaas::service {
 
 class BuildFarm;
 class DistributionPeer;
+struct SourceDeployRequest;
 
 struct FleetDeployRequest {
   vm::NodeSpec node;
@@ -82,23 +85,61 @@ struct FleetDeployResult {
 };
 
 /// Shared async plumbing for the deploy services (scheduler and build
-/// farm): wrap a synchronous deploy call as a pool task with exception
-/// propagation, and drain a batch of futures in request order.
+/// farm): a pool task that fulfils a promise, the completion of a
+/// result from its resolved deployment, and draining a batch of futures
+/// in request order.
 namespace detail {
 
-template <typename Fn>
+using DeployPromise = std::shared_ptr<std::promise<FleetDeployResult>>;
+
+/// Run `deploy_into(promise)` as a pool task. It fulfils the promise on
+/// the task's thread, or hands it to a deployment already in flight,
+/// whose deployer fulfils it; an exception it throws fails the promise.
+template <typename DeployInto>
 std::future<FleetDeployResult> enqueue_deploy(common::ThreadPool& pool,
-                                              Fn deploy_fn) {
+                                              DeployInto deploy_into) {
   auto promise = std::make_shared<std::promise<FleetDeployResult>>();
   auto future = promise->get_future();
-  pool.submit([promise, deploy_fn = std::move(deploy_fn)]() mutable {
+  pool.submit([promise, deploy_into = std::move(deploy_into)]() mutable {
     try {
-      promise->set_value(deploy_fn());
+      deploy_into(promise);
     } catch (...) {
       promise->set_exception(std::current_exception());
     }
   });
   return future;
+}
+
+/// Finish `result` with its resolved deployment. A failed one is
+/// transient: the elected deployer (a build, a lowering, infrastructure
+/// under it) failed, and failures are never cached, so a retry elects a
+/// fresh deployer.
+inline void complete(FleetDeployResult& result,
+                     std::shared_ptr<const DeployedApp> app) {
+  result.ok = app->ok;
+  if (!app->ok) {
+    result.code = ErrorCode::DeployFailed;
+    result.transient = true;
+    result.error = app->error;
+  }
+  result.app = std::move(app);
+}
+
+/// The continuation of a deploy resolved through
+/// SpecializationCache::get_or_deploy_then: completes `result`, or fails
+/// it with the exception that prevented a deployment, into `promise`.
+inline auto fulfil(FleetDeployResult result, DeployPromise promise) {
+  return [result = std::move(result), promise = std::move(promise)](
+             std::shared_ptr<const DeployedApp> app, std::exception_ptr error,
+             bool was_hit) mutable {
+    if (error) {
+      promise->set_exception(error);
+      return;
+    }
+    result.cache_hit = was_hit;
+    complete(result, std::move(app));
+    promise->set_value(std::move(result));
+  };
 }
 
 inline std::vector<FleetDeployResult> collect_deploys(
@@ -130,8 +171,10 @@ struct DeploySchedulerOptions {
 /// Thread-safety: submit(), deploy(), and deploy_batch() are safe from
 /// any thread — the specialization cache and the per-digest manifest
 /// memo carry their own locks, and the worker pool serializes nothing
-/// beyond them. attach_build_farm() is not synchronized: attach before
-/// the scheduler starts serving.
+/// beyond them. A pool task whose specialization another request is
+/// already deploying joins it by callback and frees its thread; the
+/// deployer completes the task's future. attach_build_farm() is not
+/// synchronized: attach before the scheduler starts serving.
 /// Ownership: borrows the ShardedRegistry (and the BuildFarm, when
 /// attached) — both must outlive the scheduler; owns its
 /// SpecializationCache and ThreadPool. Deployed apps are handed out as
@@ -174,8 +217,31 @@ public:
   SpecializationCache& cache() { return cache_; }
 
 private:
+  /// A planned IR request: the pulled image and its specialization key.
+  struct Prepared {
+    std::shared_ptr<const container::Image> image;
+    SpecKey key;
+  };
+  /// Resolve and plan `request`, filling `result`'s node and
+  /// configuration; on a failure fill its error and return nullopt.
+  std::optional<Prepared> prepare(const FleetDeployRequest& request,
+                                  FleetDeployResult& result);
+  /// The lowering a cold key's elected deployer runs.
+  std::shared_ptr<const DeployedApp> lower(const FleetDeployRequest& request,
+                                           const Prepared& prepared);
+  /// deploy() for a pool task: fulfils `promise` instead of returning.
+  void deploy_into(const FleetDeployRequest& request,
+                   detail::DeployPromise promise);
+
+  /// A mixed request routed by its image's kind: the farm's request,
+  /// this scheduler's, or the routing failure.
+  using Routed =
+      std::variant<FleetDeployResult, SourceDeployRequest, FleetDeployRequest>;
+  Routed route(const MixedDeployRequest& request);
+
   /// Parsed manifest for `digest`, cached so repeated requests (every
-  /// cache hit of a fleet) skip the image flatten + JSON parse.
+  /// cache hit of a fleet) skip the image flatten + JSON parse; each
+  /// digest is parsed once.
   std::shared_ptr<const IrImageManifest> manifest_for(
       const std::string& digest, const container::Image& image);
 
@@ -186,8 +252,7 @@ private:
   std::unique_ptr<SpecializationCache::Tier> spec_tier_;
   BuildFarm* farm_ = nullptr;  // source-kind routing; may be null
 
-  std::mutex manifests_mutex_;
-  std::map<std::string, std::shared_ptr<const IrImageManifest>> manifests_;
+  common::SingleFlightMap<std::string, IrImageManifest> manifests_;
 
   // Declared last, destroyed first: ~ThreadPool drains queued deploy
   // tasks, which still use cache_ and manifests_ above.

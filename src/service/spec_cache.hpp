@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -68,22 +69,40 @@ public:
                                                    Deploy&& deploy,
                                                    bool* was_hit = nullptr) {
     common::CacheEvent::Kind how = common::CacheEvent::Kind::Hit;
-    auto app = get(
-        key,
-        [&]() -> Computed {
-          std::shared_ptr<const DeployedApp> deployed = deploy();
-          const bool ok = deployed && deployed->ok;
-          return {std::move(deployed), ok};
-        },
-        &how);
+    auto app = get(key, [&] { return kept_if_ok(deploy); }, &how);
     if (was_hit) *was_hit = how != common::CacheEvent::Kind::Computed;
     return app;
+  }
+
+  /// get_or_deploy for a caller that must not wait on another caller's
+  /// deployment (see TieredCache::get_then): `done(app, error, was_hit)`
+  /// receives what get_or_deploy would return, throw and report, either
+  /// before this returns or, for a key in flight, on the deployer's
+  /// thread once it has published. `done` must not throw.
+  template <typename Deploy, typename Done>
+  void get_or_deploy_then(const SpecKey& key, Deploy&& deploy, Done done) {
+    get_then(key, [&] { return kept_if_ok(deploy); },
+             [done = std::move(done)](std::shared_ptr<const DeployedApp> app,
+                                      std::exception_ptr error,
+                                      common::CacheEvent::Kind how) mutable {
+               done(std::move(app), error,
+                    how != common::CacheEvent::Kind::Computed);
+             });
   }
 
   /// Deployer invocations == lowerings actually performed.
   std::size_t lowerings() const { return computes(); }
   /// Deployments revived from the tier (no lowering paid).
   std::size_t disk_hits() const { return tier_hits(); }
+
+private:
+  // The keep rule: only ok deployments stay cached.
+  template <typename Deploy>
+  static Computed kept_if_ok(Deploy& deploy) {
+    std::shared_ptr<const DeployedApp> deployed = deploy();
+    const bool ok = deployed && deployed->ok;
+    return {std::move(deployed), ok};
+  }
 };
 
 }  // namespace xaas::service

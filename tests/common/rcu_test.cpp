@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -104,16 +105,25 @@ TEST(RcuStress, ReadersNeverObserveReclaimedVersion) {
   std::atomic<std::uint64_t> reads{0};
   std::vector<std::thread> readers;
   const unsigned reader_count = 4;
+  // The updates start once every reader holds a snapshot, so they race
+  // live readers on any scheduler.
+  std::latch readers_started(reader_count);
   for (unsigned r = 0; r < reader_count; ++r) {
     readers.emplace_back([&] {
+      bool started = false;
       while (!stop.load(std::memory_order_acquire)) {
         const auto ref = snap.read();
+        if (!started) {
+          started = true;
+          readers_started.count_down();
+        }
         ASSERT_EQ(ref->b, ref->a * 2 + 1);
         for (const auto f : ref->fill) ASSERT_EQ(f, ref->a);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
+  readers_started.wait();
   for (std::uint64_t i = 1; i <= 400; ++i) {
     snap.update([i](Payload& p) {
       p.a = i;

@@ -1,15 +1,17 @@
 // The shared tiered-cache protocol, pinned once against a fake tier:
 // single-flight leader election across the tier and compute, the keep
-// rule, store-after-publish, counter/event reconciliation, and that a
-// thrown exception never poisons a key — also through the public tier
-// interfaces of both production caches.
+// rule, store-after-publish, counter/event reconciliation, joins by
+// callback, and that a thrown exception never poisons a key — also
+// through the public tier interfaces of both production caches.
 #include "common/tiered_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <functional>
+#include <future>
 #include <latch>
 #include <map>
 #include <mutex>
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "common/vfs.hpp"
 #include "minicc/compile_cache.hpp"
 #include "service/spec_cache.hpp"
@@ -282,23 +285,34 @@ TEST(TieredCache, CountersAndEventsReconcileWithCalls) {
     }
   });
 
+  // Every other call joins by callback; each of those runs `done` once.
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 200;
+  std::atomic<std::size_t> done_calls{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kCallsPerThread; ++i) {
         const int k = (i * 7 + t) % 12;  // keys k0..k3 live in the tier
-        cache.get(key_of(k), [&compute_calls, k] {
+        const auto compute = [&compute_calls, k] {
           compute_calls.fetch_add(1);
           return Cache::Computed{make_value(k, k % 5 != 0), k % 3 != 0};
-        });
+        };
+        if (i % 2 == 0) {
+          cache.get(key_of(k), compute);
+        } else {
+          cache.get_then(key_of(k), compute,
+                         [&done_calls](Ptr, std::exception_ptr, Kind) {
+                           done_calls.fetch_add(1);
+                         });
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
 
   const std::size_t calls = kThreads * kCallsPerThread;
+  EXPECT_EQ(done_calls.load(), calls / 2);
   EXPECT_EQ(cache.hits() + cache.tier_hits() + cache.computes(), calls);
   EXPECT_EQ(events[Kind::Hit], cache.hits());
   EXPECT_EQ(events[Kind::TierHit], cache.tier_hits());
@@ -323,6 +337,150 @@ TEST(TieredCache, ThrowingTierNeverPoisonsTheKey) {
   ASSERT_TRUE(value);
   EXPECT_EQ(how, Kind::Computed);
   EXPECT_EQ(cache.hits() + cache.tier_hits() + cache.computes(), 2u);
+}
+
+// ---- Joins by callback (get_then) -----------------------------------------
+
+/// What one get_then caller received.
+struct Delivered {
+  Ptr value;
+  std::exception_ptr error;
+  Kind how = Kind::Computed;
+};
+
+// On a 2-worker pool, A's compute waits for B's compute to start. A
+// follower of A that blocked would hold the second worker, so B could
+// never start; a callback joiner returns its worker and B runs. Every
+// wait is bounded, so a follower that holds its thread fails the test
+// instead of hanging it.
+TEST(TieredCache, CallbackJoinerDoesNotHoldItsThread) {
+  constexpr auto kBound = std::chrono::seconds(20);
+  Cache cache;
+  std::promise<void> a_computing;
+  std::promise<void> b_started;
+  std::shared_future<void> b_started_future = b_started.get_future().share();
+  std::vector<std::promise<Delivered>> delivered(3);
+  std::vector<std::future<Delivered>> received;
+  for (auto& promise : delivered) received.push_back(promise.get_future());
+
+  ThreadPool pool(2);
+  const auto submit = [&](std::size_t slot, const std::string& key,
+                          std::function<Ptr()> compute) {
+    pool.submit([&cache, &delivered, slot, key, compute] {
+      cache.get_then(key, compute,
+                     [&delivered, slot](Ptr value, std::exception_ptr error,
+                                        Kind how) {
+                       delivered[slot].set_value({value, error, how});
+                     });
+    });
+  };
+  submit(0, "A", [&] {
+    a_computing.set_value();
+    const bool saw_b = b_started_future.wait_for(kBound) ==
+                       std::future_status::ready;
+    return make_value(1, /*ok=*/saw_b);
+  });
+  ASSERT_EQ(a_computing.get_future().wait_for(kBound),
+            std::future_status::ready);
+  submit(1, "A", []() -> Ptr {
+    ADD_FAILURE() << "a follower computed";
+    return nullptr;
+  });
+  submit(2, "B", [&] {
+    b_started.set_value();
+    return make_value(2);
+  });
+
+  std::vector<Delivered> got;
+  for (auto& future : received) {
+    ASSERT_EQ(future.wait_for(2 * kBound), std::future_status::ready);
+    got.push_back(future.get());
+  }
+  ASSERT_TRUE(got[0].value);
+  EXPECT_TRUE(got[0].value->ok) << "A's leader never saw B's compute start";
+  EXPECT_EQ(got[0].how, Kind::Computed);
+  EXPECT_EQ(got[1].value, got[0].value);
+  EXPECT_EQ(got[1].how, Kind::Hit);
+  EXPECT_EQ(got[2].how, Kind::Computed);
+  EXPECT_EQ(cache.computes(), 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+/// Holds a leader's compute until kJoiners get_then callers have joined
+/// its flight, then ends it with `finish`. Returns what each joiner got.
+/// The hold is bounded, so a joiner that blocks fails the test instead
+/// of hanging it.
+std::vector<Delivered> join_by_callback(
+    Cache& cache, const std::function<Cache::Computed()>& finish) {
+  constexpr int kJoiners = 4;
+  std::promise<void> computing;
+  std::promise<void> release;
+  std::thread leader([&] {
+    try {
+      cache.get("flaky", [&] {
+        computing.set_value();
+        release.get_future().wait_for(std::chrono::seconds(20));
+        return finish();
+      });
+    } catch (const std::runtime_error&) {
+    }
+  });
+  computing.get_future().wait();
+  std::vector<Delivered> delivered(kJoiners);
+  std::atomic<int> done_calls{0};
+  for (Delivered& slot : delivered) {
+    cache.get_then(
+        "flaky",
+        []() -> Ptr {
+          ADD_FAILURE() << "a joiner computed";
+          return nullptr;
+        },
+        [&slot, &done_calls](Ptr value, std::exception_ptr error, Kind how) {
+          slot = {value, error, how};
+          done_calls.fetch_add(1);
+        });
+  }
+  // Every joiner returned at once and waits on the leader's callback.
+  EXPECT_EQ(done_calls.load(), 0);
+  release.set_value();
+  leader.join();
+  EXPECT_EQ(done_calls.load(), kJoiners);
+  return delivered;
+}
+
+TEST(TieredCache, UnkeptResultReachesCallbackJoiners) {
+  Cache cache;
+  for (const Delivered& got : join_by_callback(cache, [] {
+         return Cache::Computed{make_value(1, /*ok=*/false), false};
+       })) {
+    EXPECT_EQ(got.how, Kind::Hit);
+    EXPECT_FALSE(got.error);
+    ASSERT_TRUE(got.value);
+    EXPECT_FALSE(got.value->ok);
+  }
+  Kind how = Kind::Hit;
+  const Ptr next = cache.get("flaky", [] { return make_value(3); }, &how);
+  EXPECT_EQ(how, Kind::Computed);
+  EXPECT_TRUE(next->ok);
+  EXPECT_EQ(cache.hits(), 4u);
+  EXPECT_EQ(cache.computes(), 2u);
+}
+
+TEST(TieredCache, ExceptionReachesCallbackJoiners) {
+  Cache cache;
+  for (const Delivered& got :
+       join_by_callback(cache, []() -> Cache::Computed {
+         throw std::runtime_error("compute failed");
+       })) {
+    EXPECT_EQ(got.how, Kind::Hit);
+    EXPECT_FALSE(got.value);
+    ASSERT_TRUE(got.error);
+    EXPECT_THROW(std::rethrow_exception(got.error), std::runtime_error);
+  }
+  Kind how = Kind::Hit;
+  const Ptr next = cache.get("flaky", [] { return make_value(3); }, &how);
+  EXPECT_EQ(how, Kind::Computed);
+  EXPECT_TRUE(next->ok);
 }
 
 // ---- Through the production caches' public tier interfaces ---------------

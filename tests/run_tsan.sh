@@ -35,6 +35,8 @@ if [[ "$SANITIZER" == thread ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 else
   export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
+  # UBSan only prints unless told to halt.
+  export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 fi
 
 if [[ -n "${TSAN_FILTER:-}" ]]; then

@@ -272,9 +272,36 @@ TEST(BuildFarm, MixedRequestWithoutFarmFailsLoudly) {
 // ---- Bit-identity stress: cached vs uncached under concurrency -----------
 //
 // Runs in the `stress` CTest label and under ThreadSanitizer
-// (tests/run_tsan.sh): a heterogeneous fleet hammers the farm through
-// submit() while the test then proves every cached deployment is
-// byte-identical to an independently compiled uncached one, node by node.
+// (tests/run_tsan.sh): fleets hammer the farm through its pool while the
+// tests then prove every cached deployment is byte-identical to an
+// independently compiled uncached one, node by node.
+
+/// A cached deployment must equal a direct, uncached one: the same
+/// derived image (layers, manifest, digest) and program, and identical
+/// run_on results on the request's own node (numerics, modeled cycles,
+/// instruction counts).
+void expect_matches_direct(const FleetDeployResult& cached,
+                           const DeployedApp& direct,
+                           const vm::NodeSpec& node) {
+  ASSERT_TRUE(cached.ok) << cached.node_name << ": " << cached.error;
+  EXPECT_EQ(cached.app->image.digest(), direct.image.digest());
+  EXPECT_EQ(cached.app->image.to_json().dump(), direct.image.to_json().dump());
+  EXPECT_EQ(cached.app->target.to_string(), direct.target.to_string());
+  EXPECT_EQ(cached.app->program.num_modules(), direct.program.num_modules());
+
+  vm::Workload w_cached = apps::minimd_workload({48, 8, 3, 32});
+  vm::Workload w_direct = apps::minimd_workload({48, 8, 3, 32});
+  const auto r_cached = cached.app->run_on(node, w_cached, 2);
+  const auto r_direct = direct.run_on(node, w_direct, 2);
+  ASSERT_TRUE(r_cached.ok) << r_cached.error;
+  ASSERT_TRUE(r_direct.ok) << r_direct.error;
+  EXPECT_EQ(r_cached.ret_f64, r_direct.ret_f64);
+  EXPECT_EQ(r_cached.cycles_serial, r_direct.cycles_serial);
+  EXPECT_EQ(r_cached.cycles_parallel, r_direct.cycles_parallel);
+  EXPECT_EQ(r_cached.instructions, r_direct.instructions);
+  EXPECT_EQ(r_cached.elapsed_seconds, r_direct.elapsed_seconds);
+}
+
 TEST(BuildFarmStress, ConcurrentDeploysBitIdenticalToUncached) {
   const Application app = small_minimd();
   const auto image = build_source_image(app, isa::Arch::X86_64);
@@ -308,37 +335,80 @@ TEST(BuildFarmStress, ConcurrentDeploysBitIdenticalToUncached) {
   EXPECT_GT(farm.tu_cache_hits(), 0u);
 
   // Uncached reference per group, compiled without any cache in sight.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const vm::NodeSpec& reference_node = vm::node(groups[g].base_node);
+  for (const auto& group : groups) {
     const DeployedApp uncached = deploy_source_container(
-        image, app, reference_node, groups[g].options);
+        image, app, vm::node(group.base_node), group.options);
     ASSERT_TRUE(uncached.ok) << uncached.error;
-
     for (std::size_t i = 0; i < results.size(); ++i) {
-      if (node_group[i] != &groups[g]) continue;
-      // Byte-identical derived image (layers, manifest, digest) and
-      // identical serialized program form.
-      EXPECT_EQ(results[i].app->image.digest(), uncached.image.digest());
-      EXPECT_EQ(results[i].app->image.to_json().dump(),
-                uncached.image.to_json().dump());
-      EXPECT_EQ(results[i].app->target.to_string(),
-                uncached.target.to_string());
-      EXPECT_EQ(results[i].app->program.num_modules(),
-                uncached.program.num_modules());
+      if (node_group[i] == &group) {
+        expect_matches_direct(results[i], uncached, nodes[i]);
+      }
+    }
+  }
+}
 
-      // Identical run_on results on the request's own node: numerics,
-      // modeled cycles, instruction counts.
-      vm::Workload w_cached = apps::minimd_workload({48, 8, 3, 32});
-      vm::Workload w_uncached = apps::minimd_workload({48, 8, 3, 32});
-      const auto r_cached = results[i].app->run_on(nodes[i], w_cached, 2);
-      const auto r_uncached = uncached.run_on(nodes[i], w_uncached, 2);
-      ASSERT_TRUE(r_cached.ok) << r_cached.error;
-      ASSERT_TRUE(r_uncached.ok) << r_uncached.error;
-      EXPECT_EQ(r_cached.ret_f64, r_uncached.ret_f64);
-      EXPECT_EQ(r_cached.cycles_serial, r_uncached.cycles_serial);
-      EXPECT_EQ(r_cached.cycles_parallel, r_uncached.cycles_parallel);
-      EXPECT_EQ(r_cached.instructions, r_uncached.instructions);
-      EXPECT_EQ(r_cached.elapsed_seconds, r_uncached.elapsed_seconds);
+// A fleet listed by model, as a rollout lists it, on pools smaller than
+// one model's group: the followers of each group's build join it by
+// callback and free their threads. Through the farm's own pool and
+// through a mixed scheduler batch's source route, each key builds once,
+// the TU counts equal a 1-thread farm's, and every deployment matches a
+// direct deploy.
+TEST(BuildFarmStress, GroupedFleetOnSmallPoolBuildsEachKeyOnce) {
+  const Application app = small_minimd();
+  const auto image = build_source_image(app, isa::Arch::X86_64);
+  ShardedRegistry registry;
+  registry.push(image, "spcl/minimd:src");
+
+  const auto groups = heterogeneous_groups();
+  std::vector<SourceDeployRequest> requests;
+  std::vector<MixedDeployRequest> mixed;
+  std::vector<const FarmGroup*> request_group;
+  for (const auto& group : groups) {
+    for (auto& node : fleet_of(group.base_node, 3)) {
+      MixedDeployRequest routed;
+      routed.node = node;
+      routed.image_reference = "spcl/minimd:src";
+      routed.selections = group.options.selections;
+      routed.auto_specialize = group.options.auto_specialize;
+      mixed.push_back(std::move(routed));
+      requests.push_back({std::move(node), "spcl/minimd:src", group.options});
+      request_group.push_back(&group);
+    }
+  }
+
+  BuildFarmOptions serial_options;
+  serial_options.threads = 1;
+  BuildFarm serial(registry, serial_options);
+  for (const auto& r : serial.deploy_batch(requests)) {
+    ASSERT_TRUE(r.ok) << r.node_name << ": " << r.error;
+  }
+
+  BuildFarmOptions small_pool;
+  small_pool.threads = 2;
+  BuildFarm farm(registry, small_pool);
+  const auto farm_results = farm.deploy_batch(requests);
+
+  BuildFarm routed_farm(registry, serial_options);
+  DeploySchedulerOptions sched_options;
+  sched_options.threads = 2;
+  DeployScheduler scheduler(registry, routed_farm, sched_options);
+  const auto routed_results = scheduler.deploy_batch(std::move(mixed));
+
+  for (const BuildFarm* built : {&farm, &routed_farm}) {
+    EXPECT_EQ(built->cache().lowerings(), groups.size());
+    EXPECT_EQ(built->tu_compiles(), serial.tu_compiles());
+    EXPECT_EQ(built->tu_cache_hits(), serial.tu_cache_hits());
+  }
+  EXPECT_EQ(scheduler.cache().lowerings(), 0u);
+
+  for (const auto& group : groups) {
+    const DeployedApp direct = deploy_source_container(
+        image, app, vm::node(group.base_node), group.options);
+    ASSERT_TRUE(direct.ok) << direct.error;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (request_group[i] != &group) continue;
+      expect_matches_direct(farm_results[i], direct, requests[i].node);
+      expect_matches_direct(routed_results[i], direct, requests[i].node);
     }
   }
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "apps/workloads.hpp"
@@ -240,6 +245,70 @@ TEST(DeploySchedulerStress, ConcurrentSubmitSingleLowering) {
   EXPECT_EQ(ok, 24);
   EXPECT_EQ(scheduler.cache().lowerings(), 1u);
   EXPECT_EQ(scheduler.cache().entry_count(), 1u);
+}
+
+// A fleet listed by model, as a rollout lists it, on a pool smaller than
+// one model's group: the followers of each lowering join it by callback
+// and free their threads, so the groups lower side by side. Each
+// distinct key lowers once, and every deployment matches a direct
+// deploy.
+TEST(DeploySchedulerStress, GroupedFleetOnSmallPoolLowersEachKeyOnce) {
+  apps::MinimdOptions app_options;
+  app_options.module_count = 4;
+  app_options.gpu_module_count = 1;
+  const Application app = apps::make_minimd(app_options);
+  IrBuildOptions build_options;
+  build_options.points = {{"MD_SIMD", {"SSE4.1", "AVX2_256", "AVX_512"}}};
+  const auto build = build_ir_container(app, isa::Arch::X86_64, build_options);
+  ASSERT_TRUE(build.ok) << build.error;
+
+  ShardedRegistry registry;
+  registry.push(build.image, "spcl/minimd:ir");
+  DeploySchedulerOptions sched_options;
+  sched_options.threads = 2;
+  DeployScheduler scheduler(registry, sched_options);
+
+  const std::vector<std::pair<std::string, std::string>> models = {
+      {"ault23", "AVX_512"},
+      {"aurora", "AVX_512"},
+      {"ault25", "AVX2_256"},
+      {"devbox", "AVX2_256"}};
+  std::set<std::string> keys;
+  std::vector<FleetDeployRequest> requests;
+  for (const auto& [model, simd] : models) {
+    IrDeployOptions selection;
+    selection.selections = {{"MD_SIMD", simd}};
+    const IrDeployPlan plan =
+        plan_ir_deploy(build.image, vm::node(model), selection);
+    ASSERT_TRUE(plan.ok) << plan.error;
+    keys.insert(simd + "|" + plan.target.to_string());
+    for (auto& node : homogeneous_fleet(model, 3)) {
+      requests.push_back({std::move(node), "spcl/minimd:ir", selection});
+    }
+  }
+  const auto results = scheduler.deploy_batch(requests);
+  EXPECT_EQ(scheduler.cache().lowerings(), keys.size());
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].node_name << ": "
+                               << results[i].error;
+    const DeployedApp direct = deploy_ir_container(
+        build.image, requests[i].node, requests[i].options);
+    ASSERT_TRUE(direct.ok) << direct.error;
+    EXPECT_EQ(results[i].app->image.digest(), direct.image.digest());
+    EXPECT_EQ(results[i].app->target.to_string(), direct.target.to_string());
+    vm::Workload w_cached = apps::minimd_workload({48, 8, 3, 32});
+    vm::Workload w_direct = apps::minimd_workload({48, 8, 3, 32});
+    const auto r_cached = results[i].run(w_cached, 2);
+    const auto r_direct = direct.run_on(requests[i].node, w_direct, 2);
+    ASSERT_TRUE(r_cached.ok) << r_cached.error;
+    ASSERT_TRUE(r_direct.ok) << r_direct.error;
+    EXPECT_EQ(r_cached.ret_f64, r_direct.ret_f64);
+    EXPECT_EQ(r_cached.cycles_serial, r_direct.cycles_serial);
+    EXPECT_EQ(r_cached.cycles_parallel, r_direct.cycles_parallel);
+    EXPECT_EQ(r_cached.instructions, r_direct.instructions);
+    EXPECT_EQ(r_cached.elapsed_seconds, r_direct.elapsed_seconds);
+  }
 }
 
 }  // namespace

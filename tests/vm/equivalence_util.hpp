@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -41,21 +42,22 @@ inline void expect_identical(const RunResult& actual,
   EXPECT_EQ(bits(actual.elapsed_seconds), bits(expected.elapsed_seconds));
 }
 
+// Element-wise, so an empty buffer (whose data() may be null) is never
+// handed to memcmp; doubles compare by bit pattern.
 inline void expect_buffers_identical(const Workload& a, const Workload& b) {
   ASSERT_EQ(a.f64_buffers.size(), b.f64_buffers.size());
   for (const auto& [name, va] : a.f64_buffers) {
     const auto& vb = b.f64_buffers.at(name);
     ASSERT_EQ(va.size(), vb.size()) << name;
-    EXPECT_EQ(
-        std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0)
+    EXPECT_TRUE(std::equal(
+        va.begin(), va.end(), vb.begin(),
+        [](double x, double y) { return bits(x) == bits(y); }))
         << name;
   }
   for (const auto& [name, va] : a.i64_buffers) {
     const auto& vb = b.i64_buffers.at(name);
     ASSERT_EQ(va.size(), vb.size()) << name;
-    EXPECT_EQ(
-        std::memcmp(va.data(), vb.data(), va.size() * sizeof(long long)), 0)
-        << name;
+    EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin())) << name;
   }
 }
 
