@@ -3,6 +3,12 @@
 #include <cassert>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define XAAS_SHA256_X86 1
+#endif
+
 namespace xaas::common {
 
 namespace {
@@ -24,10 +30,113 @@ constexpr std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#ifdef XAAS_SHA256_X86
+// SHA extensions path. The message schedule lives in four registers of
+// four big-endian words each ("groups"); the state lives as the ABEF and
+// CDGH halves that sha256rnds2 works on.
+
+__attribute__((target("sha,sse4.1"))) inline __m128i load_message_group(
+    const std::uint8_t* bytes) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)), byte_swap);
+}
+
+/// Message group n from groups n-4 (`a`) .. n-1 (`d`).
+__attribute__((target("sha,sse4.1"))) inline __m128i next_message_group(
+    __m128i a, __m128i b, __m128i c, __m128i d) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(a, b), _mm_alignr_epi8(d, c, 4)), d);
+}
+
+/// Rounds 4*group .. 4*group+3 on message group `msg`.
+__attribute__((target("sha,sse4.1"))) inline void four_rounds(
+    __m128i& abef, __m128i& cdgh, __m128i msg, std::size_t group) {
+  const __m128i wk = _mm_add_epi32(
+      msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+               &kRoundConstants[group * 4])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m0 = load_message_group(data);
+    __m128i m1 = load_message_group(data + 16);
+    __m128i m2 = load_message_group(data + 32);
+    __m128i m3 = load_message_group(data + 48);
+    four_rounds(abef, cdgh, m0, 0);
+    four_rounds(abef, cdgh, m1, 1);
+    four_rounds(abef, cdgh, m2, 2);
+    four_rounds(abef, cdgh, m3, 3);
+    for (std::size_t group = 4; group < 16; group += 4) {
+      m0 = next_message_group(m0, m1, m2, m3);
+      four_rounds(abef, cdgh, m0, group);
+      m1 = next_message_group(m1, m2, m3, m0);
+      four_rounds(abef, cdgh, m1, group + 1);
+      m2 = next_message_group(m2, m3, m0, m1);
+      four_rounds(abef, cdgh, m2, group + 2);
+      m3 = next_message_group(m3, m0, m1, m2);
+      four_rounds(abef, cdgh, m3, group + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+detail::Sha256Compress default_compress() {
+  static const detail::Sha256Compress compress = [] {
+    const detail::Sha256Compress hardware = detail::sha256_compress_hardware();
+    return hardware ? hardware : &detail::sha256_compress_portable;
+  }();
+  return compress;
+}
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+namespace detail {
+
+Sha256Compress sha256_compress_hardware() {
+#ifdef XAAS_SHA256_X86
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_SSE4_1)) {
+    return nullptr;
+  }
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) || !(ebx & bit_SHA)) {
+    return nullptr;
+  }
+  return &compress_sha_ni;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace detail
+
+Sha256::Sha256() : Sha256(default_compress()) {}
+
+Sha256::Sha256(detail::Sha256Compress compress)
+    : compress_(compress),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(const void* data, std::size_t len) {
@@ -42,17 +151,17 @@ void Sha256::update(const void* data, std::size_t len) {
     bytes += take;
     len -= take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  // Whole blocks are compressed straight from the caller's memory — no
-  // staging copy. This is the hot path for the IR pipeline, which hashes
-  // every preprocessed translation unit.
-  while (len >= buffer_.size()) {
-    process_block(bytes);
-    bytes += buffer_.size();
-    len -= buffer_.size();
+  // Whole blocks are compressed straight from the caller's memory in one
+  // call — no staging copy. This is the hot path for the IR pipeline,
+  // which hashes every preprocessed translation unit.
+  if (const std::size_t blocks = len / buffer_.size(); blocks > 0) {
+    compress_(state_.data(), bytes, blocks);
+    bytes += blocks * buffer_.size();
+    len -= blocks * buffer_.size();
   }
   if (len > 0) {
     std::memcpy(buffer_.data(), bytes, len);
@@ -60,51 +169,59 @@ void Sha256::update(const void* data, std::size_t len) {
   }
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[i * 4]} << 24) |
-           (std::uint32_t{block[i * 4 + 1]} << 16) |
-           (std::uint32_t{block[i * 4 + 2]} << 8) |
-           std::uint32_t{block[i * 4 + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+namespace detail {
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    const std::uint8_t* block = data;
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t{block[i * 4]} << 24) |
+             (std::uint32_t{block[i * 4 + 1]} << 16) |
+             (std::uint32_t{block[i * 4 + 2]} << 8) |
+             std::uint32_t{block[i * 4 + 3]};
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
+
+}  // namespace detail
 
 std::array<std::uint8_t, 32> Sha256::digest() {
   assert(!finalized_);

@@ -3,13 +3,31 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace xaas::common {
 
-/// Incremental SHA-256 hasher.
+namespace detail {
+/// Compresses `blocks` consecutive 64-byte blocks into `state`.
+using Sha256Compress = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                                std::size_t blocks);
+
+/// Portable compression: the fallback, and the reference the hardware
+/// path is tested against.
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks);
+
+/// Compression with the x86 SHA extensions, or nullptr when CPUID does not
+/// report both SHA and SSE4.1 (and on other architectures).
+Sha256Compress sha256_compress_hardware();
+}  // namespace detail
+
+/// Incremental SHA-256 hasher. Whole blocks are compressed with the CPU's
+/// SHA instructions when it has them, else portably; both give the same
+/// digest.
 ///
 /// Usage:
 ///   Sha256 h;
@@ -18,6 +36,8 @@ namespace xaas::common {
 class Sha256 {
 public:
   Sha256();
+  /// Hash with a specific compress function (tests pin each path).
+  explicit Sha256(detail::Sha256Compress compress);
 
   /// Absorb more bytes. May be called repeatedly.
   void update(const void* data, std::size_t len);
@@ -31,8 +51,7 @@ public:
   std::string hex_digest();
 
 private:
-  void process_block(const std::uint8_t* block);
-
+  detail::Sha256Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;

@@ -19,22 +19,24 @@ public:
   }
 
   std::optional<std::string> read(std::string_view path) const {
-    const auto it = files_.find(std::string(path));
+    const auto it = files_.find(path);
     if (it == files_.end()) return std::nullopt;
     return it->second;
   }
 
   /// Pointer to the stored contents (no copy), or nullptr when absent.
   const std::string* find(std::string_view path) const {
-    const auto it = files_.find(std::string(path));
+    const auto it = files_.find(path);
     return it == files_.end() ? nullptr : &it->second;
   }
 
   bool exists(std::string_view path) const {
-    return files_.count(std::string(path)) > 0;
+    return files_.find(path) != files_.end();
   }
 
-  void remove(std::string_view path) { files_.erase(std::string(path)); }
+  void remove(std::string_view path) {
+    if (const auto it = files_.find(path); it != files_.end()) files_.erase(it);
+  }
 
   /// Paths matching a glob pattern, sorted.
   std::vector<std::string> glob(std::string_view pattern) const {
@@ -59,7 +61,9 @@ public:
   }
 
 private:
-  std::map<std::string, std::string> files_;
+  // Transparent comparator: lookups by string_view build no key string
+  // (include resolution probes every include dir for every #include).
+  std::map<std::string, std::string, std::less<>> files_;
 };
 
 }  // namespace xaas::common

@@ -113,6 +113,15 @@ common::Vfs Image::flatten() const {
   return result;
 }
 
+const std::string* Image::find_file(std::string_view path) const {
+  for (auto layer = layers.rbegin(); layer != layers.rend(); ++layer) {
+    if (const std::string* contents = layer->files().find(path)) {
+      return contents;
+    }
+  }
+  return nullptr;
+}
+
 std::size_t Image::total_size_bytes() const {
   std::size_t total = 0;
   for (const auto& layer : layers) total += layer.size_bytes();
@@ -124,7 +133,11 @@ ImageBuilder::ImageBuilder(const Image& base) : image_(base) {
 }
 
 ImageBuilder& ImageBuilder::add_layer(common::Vfs files) {
-  image_.layers.push_back(Layer::from_vfs(std::move(files)));
+  return add_layer(Layer::from_vfs(std::move(files)));
+}
+
+ImageBuilder& ImageBuilder::add_layer(Layer layer) {
+  image_.layers.push_back(std::move(layer));
   return *this;
 }
 

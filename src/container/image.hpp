@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -79,6 +80,10 @@ public:
   /// Union filesystem (later layers shadow earlier ones).
   common::Vfs flatten() const;
 
+  /// One file of the union filesystem, without flattening: the contents
+  /// in the last layer that has `path`, or nullptr.
+  const std::string* find_file(std::string_view path) const;
+
   std::size_t total_size_bytes() const;
 };
 
@@ -90,6 +95,8 @@ public:
   explicit ImageBuilder(const Image& base);
 
   ImageBuilder& add_layer(common::Vfs files);
+  /// Add an already content-hashed layer (hashed elsewhere, e.g. on a pool).
+  ImageBuilder& add_layer(Layer layer);
   ImageBuilder& annotation(const std::string& key, const std::string& value);
   ImageBuilder& architecture(const std::string& arch);
   ImageBuilder& config(const std::string& key, common::Json value);

@@ -73,8 +73,8 @@ std::optional<DeployScheduler::Prepared> DeployScheduler::prepare(
   Prepared prepared;
   prepared.image = registry_.pull(*digest);  // shared, no layer copy
 
-  const auto manifest = manifest_for(*digest, *prepared.image);
-  const IrDeployPlan plan = plan_ir_deploy(*manifest, request.node,
+  prepared.manifest = manifest_for(*digest, *prepared.image);
+  const IrDeployPlan plan = plan_ir_deploy(*prepared.manifest, request.node,
                                            request.options);
   if (!plan.ok) {
     // Plan failures are deterministic (bad selection, march beyond the
@@ -102,8 +102,8 @@ std::shared_ptr<const DeployedApp> DeployScheduler::lower(
     failed->error = "injected IR lowering fault for " + prepared.key.digest;
     return failed;
   }
-  auto deployed = std::make_shared<DeployedApp>(
-      deploy_ir_container(*prepared.image, request.node, request.options));
+  auto deployed = std::make_shared<DeployedApp>(deploy_ir_container(
+      *prepared.image, *prepared.manifest, request.node, request.options));
   // The cached deployment is shared by every node whose plan resolves to
   // this key, so it must not remember the node that happened to deploy
   // first: DeployedApp::run() on a cleared name fails loudly instead of

@@ -217,9 +217,11 @@ public:
   SpecializationCache& cache() { return cache_; }
 
 private:
-  /// A planned IR request: the pulled image and its specialization key.
+  /// A planned IR request: the pulled image, its parsed manifest (which
+  /// the lowering reuses) and its specialization key.
   struct Prepared {
     std::shared_ptr<const container::Image> image;
+    std::shared_ptr<const IrImageManifest> manifest;
     SpecKey key;
   };
   /// Resolve and plan `request`, filling `result`'s node and

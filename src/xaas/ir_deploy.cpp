@@ -10,9 +10,9 @@ using common::Json;
 
 namespace {
 
-std::optional<Json> read_manifest(const common::Vfs& root,
+std::optional<Json> read_manifest(const container::Image& image,
                                   std::string* error) {
-  const auto text = root.read("xaas/manifest.json");
+  const std::string* text = image.find_file("xaas/manifest.json");
   if (!text) {
     if (error) *error = "image has no xaas/manifest.json";
     return std::nullopt;
@@ -140,8 +140,7 @@ bool resolve_plan(const Json& manifest, const vm::NodeSpec& node,
 std::vector<std::string> ir_image_configurations(
     const container::Image& ir_image, std::string* error) {
   std::vector<std::string> ids;
-  const common::Vfs root = ir_image.flatten();
-  const auto manifest = read_manifest(root, error);
+  const auto manifest = read_manifest(ir_image, error);
   if (!manifest) return ids;
   const Json* configs = manifest->find("configurations");
   if (!configs) {
@@ -157,9 +156,8 @@ std::vector<std::string> ir_image_configurations(
 IrImageManifest read_ir_image_manifest(const container::Image& ir_image) {
   IrImageManifest result;
   result.architecture = ir_image.architecture;
-  const common::Vfs root = ir_image.flatten();
   std::string error;
-  auto manifest = read_manifest(root, &error);
+  auto manifest = read_manifest(ir_image, &error);
   if (!manifest) {
     result.error = error;
     return result;
@@ -196,6 +194,14 @@ IrDeployPlan plan_ir_deploy(const container::Image& ir_image,
 DeployedApp deploy_ir_container(const container::Image& ir_image,
                                 const vm::NodeSpec& node,
                                 const IrDeployOptions& options) {
+  return deploy_ir_container(ir_image, read_ir_image_manifest(ir_image), node,
+                             options);
+}
+
+DeployedApp deploy_ir_container(const container::Image& ir_image,
+                                const IrImageManifest& manifest,
+                                const vm::NodeSpec& node,
+                                const IrDeployOptions& options) {
   DeployedApp result;
   result.node_name = node.name;
 
@@ -205,18 +211,14 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
                    " does not match node (" + want + ")";
     return result;
   }
-
-  const common::Vfs root = ir_image.flatten();
-  std::string error;
-  const auto manifest = read_manifest(root, &error);
-  if (!manifest) {
-    result.error = error;
+  if (!manifest.ok) {
+    result.error = manifest.error;
     return result;
   }
 
   IrDeployPlan plan;
   const Json* config_ptr = nullptr;
-  if (!resolve_plan(*manifest, node, options, &plan, &config_ptr)) {
+  if (!resolve_plan(manifest.manifest, node, options, &plan, &config_ptr)) {
     result.error = plan.error;
     return result;
   }
@@ -234,6 +236,7 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
   std::vector<minicc::MachineModule> modules;
   int lowered = 0;
   int compiled_sd = 0;
+  std::optional<common::Vfs> app_tree;  // the image's app/, when needed
   for (const auto& unit : units->items()) {
     const std::string source = unit.get_string("source");
     if (unit.get_bool("system_dependent")) {
@@ -242,14 +245,18 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
       const auto flag_args = common::split_ws(unit.get_string("flags"));
       minicc::CompileFlags flags = minicc::CompileFlags::parse_args(flag_args);
       flags.opt_level = options.opt_level;
-      common::Vfs app_tree;
-      for (const auto& [path, contents] : root) {
-        if (common::starts_with(path, "app/")) {
-          app_tree.write(path.substr(4), contents);
+      if (!app_tree) {
+        app_tree.emplace();
+        for (const auto& layer : ir_image.layers) {
+          for (const auto& [path, contents] : layer.files()) {
+            if (common::starts_with(path, "app/")) {
+              app_tree->write(path.substr(4), contents);
+            }
+          }
         }
       }
       const auto compiled =
-          minicc::compile_to_target(app_tree, source, flags, target);
+          minicc::compile_to_target(*app_tree, source, flags, target);
       if (!compiled.ok) {
         result.error = "system-dependent compile of " + source + " failed: " +
                        compiled.error.message;
@@ -263,7 +270,7 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
       continue;
     }
     const std::string ir_path = unit.get_string("ir");
-    const auto ir_text = root.read(ir_path);
+    const std::string* ir_text = ir_image.find_file(ir_path);
     if (!ir_text) {
       result.error = "IR file missing from image: " + ir_path;
       return result;

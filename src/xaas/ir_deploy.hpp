@@ -75,6 +75,13 @@ DeployedApp deploy_ir_container(const container::Image& ir_image,
                                 const vm::NodeSpec& node,
                                 const IrDeployOptions& options);
 
+/// Deploy against `manifest`, parsed earlier from this same image (a
+/// serving layer's per-digest copy), so the lowering parses nothing twice.
+DeployedApp deploy_ir_container(const container::Image& ir_image,
+                                const IrImageManifest& manifest,
+                                const vm::NodeSpec& node,
+                                const IrDeployOptions& options);
+
 /// Configuration ids stored in an IR image (for tooling and tests).
 /// A malformed or missing manifest yields an empty list and, when
 /// `error` is non-null, a description of what was wrong with it.

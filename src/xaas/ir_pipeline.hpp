@@ -35,7 +35,8 @@ struct IrBuildOptions {
   bool detect_openmp = true;          // AST OpenMP-construct merge
   bool delay_vectorization = true;    // strip -m flags, vectorize at deploy
 
-  /// Worker threads for preprocessing/compilation (0 = hardware).
+  /// Worker threads for every stage of the build (0 = hardware). The
+  /// result is the same at any count.
   std::size_t threads = 0;
 };
 

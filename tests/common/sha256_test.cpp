@@ -2,25 +2,115 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace xaas::common {
 namespace {
 
-// NIST FIPS 180-4 test vectors.
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(sha256_hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+// NIST FIPS 180-4 / CAVP SHA256ShortMsg known answers. Their lengths
+// straddle the padding boundary and take the direct-from-input block path
+// at several alignments.
+struct KnownAnswer {
+  std::string message;
+  const char* digest;
+};
+
+const std::vector<KnownAnswer>& known_answers() {
+  static const std::vector<KnownAnswer> answers = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      // 896-bit FIPS 180-4 example: two blocks via the direct path.
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+       "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {"a", "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"},
+      {"message digest",
+       "f7846f55cf23e14eebeab5b4e1550cad5b509e3348fbc4efa3a1413d393cb650"},
+      {"abcdefghijklmnopqrstuvwxyz",
+       "71c480df93d6ae2f1efad1447c66c9525e316218cf51fc8d9ed832f2daf18b73"},
+      // Exactly one block (64 bytes) and two blocks (128 bytes) of zeros.
+      {std::string(64, '\0'),
+       "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b"},
+      {std::string(128, '\0'),
+       "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  return answers;
 }
 
-TEST(Sha256, Abc) {
-  EXPECT_EQ(sha256_hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+std::string hex_with(detail::Sha256Compress compress, std::string_view data) {
+  Sha256 h(compress);
+  h.update(data);
+  return h.hex_digest();
 }
 
-TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+/// Hash `data` fed in random chunks of 0..200 bytes, so updates start and
+/// end at every offset within a block.
+std::string hex_chunked(detail::Sha256Compress compress, std::string_view data,
+                        Rng& rng) {
+  Sha256 h(compress);
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const std::size_t chunk =
+        std::min<std::size_t>(rng.next_below(201), data.size() - off);
+    h.update(data.substr(off, chunk));
+    off += chunk;
+  }
+  return h.hex_digest();
+}
+
+void expect_known_answers(detail::Sha256Compress compress) {
+  for (const auto& [message, digest] : known_answers()) {
+    EXPECT_EQ(hex_with(compress, message), digest) << message.size();
+  }
+}
+
+/// Seeded differential against the portable reference: every length
+/// 0..300 and 1 MiB, each side fed in its own random chunking.
+void expect_matches_portable(detail::Sha256Compress compress) {
+  Rng rng(0x5a256);
+  std::vector<std::size_t> lengths(301);
+  for (std::size_t n = 0; n <= 300; ++n) lengths[n] = n;
+  lengths.push_back(std::size_t{1} << 20);
+  for (const std::size_t n : lengths) {
+    std::string data(n, '\0');
+    for (auto& c : data) c = static_cast<char>(rng.next_u64());
+    const std::string expect =
+        hex_chunked(&detail::sha256_compress_portable, data, rng);
+    EXPECT_EQ(hex_with(compress, data), expect) << n;
+    EXPECT_EQ(hex_chunked(compress, data, rng), expect) << n;
+  }
+}
+
+TEST(Sha256, KnownAnswerVectors) {
+  for (const auto& [message, digest] : known_answers()) {
+    EXPECT_EQ(sha256_hex(message), digest) << message.size();
+  }
+}
+
+TEST(Sha256, PortableCompressKnownAnswers) {
+  expect_known_answers(&detail::sha256_compress_portable);
+}
+
+TEST(Sha256, HardwareCompressKnownAnswers) {
+  const detail::Sha256Compress hardware = detail::sha256_compress_hardware();
+  if (!hardware) GTEST_SKIP() << "CPUID reports no SHA or no SSE4.1";
+  expect_known_answers(hardware);
+}
+
+TEST(Sha256, HardwareCompressMatchesPortable) {
+  const detail::Sha256Compress hardware = detail::sha256_compress_hardware();
+  if (!hardware) GTEST_SKIP() << "CPUID reports no SHA or no SSE4.1";
+  expect_matches_portable(hardware);
 }
 
 TEST(Sha256, MillionAs) {
@@ -49,27 +139,6 @@ TEST(Sha256, ExactBlockBoundary) {
     h.update(msg);
     EXPECT_EQ(h.hex_digest(), sha256_hex(msg)) << n;
   }
-}
-
-// Known-answer vectors (NIST CAVP SHA256ShortMsg / FIPS 180-4 examples)
-// exercising the direct-from-input block path at various alignments.
-TEST(Sha256, KnownAnswerVectors) {
-  // 896-bit FIPS 180-4 example: two blocks via the direct path.
-  EXPECT_EQ(
-      sha256_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-                 "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
-      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
-  EXPECT_EQ(sha256_hex("a"),
-            "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb");
-  EXPECT_EQ(sha256_hex("message digest"),
-            "f7846f55cf23e14eebeab5b4e1550cad5b509e3348fbc4efa3a1413d393cb650");
-  EXPECT_EQ(sha256_hex("abcdefghijklmnopqrstuvwxyz"),
-            "71c480df93d6ae2f1efad1447c66c9525e316218cf51fc8d9ed832f2daf18b73");
-  // Exactly one block (64 bytes) and two blocks (128 bytes) of zeros.
-  EXPECT_EQ(sha256_hex(std::string(64, '\0')),
-            "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b");
-  EXPECT_EQ(sha256_hex(std::string(128, '\0')),
-            "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca");
 }
 
 TEST(Sha256, MixedChunkSizesMatchOneShot) {

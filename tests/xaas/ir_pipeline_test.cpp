@@ -188,5 +188,82 @@ TEST(IrPipeline, DeterministicAcrossRebuilds) {
   EXPECT_EQ(a.image.digest(), b.image.digest());
 }
 
+void expect_same_stats(const DedupStats& a, const DedupStats& b) {
+  EXPECT_EQ(a.configurations, b.configurations);
+  EXPECT_EQ(a.total_tus, b.total_tus);
+  EXPECT_EQ(a.unique_irs, b.unique_irs);
+  EXPECT_EQ(a.system_dependent, b.system_dependent);
+  EXPECT_EQ(a.reduction_pct, b.reduction_pct);
+  EXPECT_EQ(a.flag_incompatible_pct, b.flag_incompatible_pct);
+  EXPECT_EQ(a.preproc_distinct_pct, b.preproc_distinct_pct);
+  EXPECT_EQ(a.tuning_only_pct, b.tuning_only_pct);
+  EXPECT_EQ(a.openmp_merged, b.openmp_merged);
+}
+
+// Every stage of the build fans out on its pool, and the merges that
+// number scans, preprocess units and artifacts walk the instances in
+// order: the thread count must change nothing the build returns. The
+// pinned digests were recorded before the stages fanned out.
+TEST(IrPipelineStress, ParallelBuildIsByteIdentical) {
+  apps::MinimdOptions app_options;
+  app_options.module_count = 200;
+  const Application app = apps::make_minimd(app_options);
+
+  IrBuildOptions fleet;  // the deploy_fleet benchmark's points
+  fleet.points = {
+      {"MD_SIMD", {"SSE4.1", "AVX2_128", "AVX_256", "AVX2_256", "AVX_512"}},
+      {"MD_GPU", {"OFF", "CUDA"}}};
+  const std::string fleet_digest =
+      "sha256:f9c40b55971f9f570de8eefe9e7ec522bfe19da7b84f061b6c278dbcace83d07";
+  struct Case {
+    const char* name;
+    IrBuildOptions options;
+    std::string digest;
+  };
+  std::vector<Case> cases = {{"default", fleet, fleet_digest}};
+  cases.push_back({"containerized_builds=false", fleet, fleet_digest});
+  cases.back().options.containerized_builds = false;
+  cases.push_back({"dedup_preprocessing=false", fleet, fleet_digest});
+  cases.back().options.dedup_preprocessing = false;
+  cases.push_back(
+      {"detect_openmp=false", fleet,
+       "sha256:5ae9c6cc7402168536dfa438039ff46a0a8b240602ca8581fc0f2fa191f9ed88"});
+  cases.back().options.detect_openmp = false;
+  cases.push_back(
+      {"delay_vectorization=false", fleet,
+       "sha256:b81becb8717f45e70a1511e62334ae82a95d4fe4c09edb82b374fcd9246c85b5"});
+  cases.back().options.delay_vectorization = false;
+  // MPI puts system-dependent units into the manifest.
+  cases.push_back(
+      {"MD_MPI", fleet,
+       "sha256:e52e254df10161528f43f900ca786294244ad882d8d65aa0c2db6d5aa2b87b74"});
+  cases.back().options.points["MD_MPI"] = {"OFF", "ON"};
+
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.options.threads = 1;
+    const auto serial = build_ir_container(app, isa::Arch::X86_64, c.options);
+    ASSERT_TRUE(serial.ok) << serial.error;
+    EXPECT_EQ(serial.image.digest(), c.digest);
+    EXPECT_EQ(serial.stats.system_dependent > 0,
+              c.options.points.count("MD_MPI") > 0);
+    for (const std::size_t threads : {2u, 4u}) {
+      SCOPED_TRACE(threads);
+      c.options.threads = threads;
+      const auto build = build_ir_container(app, isa::Arch::X86_64, c.options);
+      ASSERT_TRUE(build.ok) << build.error;
+      EXPECT_EQ(build.image.digest(), serial.image.digest());
+      EXPECT_EQ(build.configuration_ids, serial.configuration_ids);
+      expect_same_stats(build.stats, serial.stats);
+      ASSERT_EQ(build.artifacts.size(), serial.artifacts.size());
+      for (std::size_t a = 0; a < build.artifacts.size(); ++a) {
+        EXPECT_EQ(build.artifacts[a].path, serial.artifacts[a].path);
+        EXPECT_EQ(build.artifacts[a].flags, serial.artifacts[a].flags);
+        EXPECT_EQ(build.artifacts[a].used_by, serial.artifacts[a].used_by);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xaas
