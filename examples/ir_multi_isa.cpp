@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "apps/minimd.hpp"
-#include "container/registry.hpp"
+#include "service/sharded_registry.hpp"
 #include "xaas/ir_deploy.hpp"
 #include "xaas/ir_pipeline.hpp"
 
@@ -44,7 +44,7 @@ int main() {
   }
   std::printf("  %d IR files shared by all five configurations\n\n", shared);
 
-  container::Registry registry;
+  service::ShardedRegistry registry;
   registry.push(build.image, "spcl/minimd:ir-x86");
   std::printf("registry architectures: %s\n\n",
               registry.pull("spcl/minimd:ir-x86")->architecture.c_str());

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "apps/minilulesh.hpp"
-#include "container/registry.hpp"
+#include "service/sharded_registry.hpp"
 #include "vm/node.hpp"
 #include "xaas/ir_deploy.hpp"
 #include "xaas/ir_pipeline.hpp"
@@ -39,7 +39,7 @@ int main() {
 
   // 3. Publish to a registry; the image is a standard OCI-style artifact
   //    whose annotations carry the specialization points.
-  container::Registry registry;
+  service::ShardedRegistry registry;
   const std::string digest = registry.push(build.image, "spcl/minilulesh:ir");
   std::printf("pushed %s (%zu bytes)\n", digest.substr(0, 19).c_str(),
               build.image.total_size_bytes());

@@ -1,6 +1,5 @@
 #include "apps/minimd.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -731,24 +730,6 @@ vm::Workload minimd_workload(const MdWorkloadParams& params) {
             Arg::i64(params.atoms), Arg::i64(params.steps),
             Arg::i64(params.neighbors), Arg::i64(params.grid)};
   return w;
-}
-
-MdWorkloadParams minimd_test_a(int scale) {
-  MdWorkloadParams p;
-  p.atoms = 20000 / scale;
-  p.neighbors = 32;
-  p.steps = 100 / std::max(1, scale / 10);
-  p.grid = 4096 / scale * 4;
-  return p;
-}
-
-MdWorkloadParams minimd_test_b(int scale) {
-  MdWorkloadParams p;
-  p.atoms = 30000 / scale;
-  p.neighbors = 40;
-  p.steps = 100 / std::max(1, scale / 10);
-  p.grid = 8192 / scale * 4;
-  return p;
 }
 
 }  // namespace xaas::apps

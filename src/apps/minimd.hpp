@@ -48,8 +48,4 @@ struct MdWorkloadParams {
 
 vm::Workload minimd_workload(const MdWorkloadParams& params);
 
-/// Parameters for UEABS tests A and B at a given scale divisor.
-MdWorkloadParams minimd_test_a(int scale = 40);
-MdWorkloadParams minimd_test_b(int scale = 40);
-
 }  // namespace xaas::apps

@@ -14,13 +14,6 @@ Json& JsonObject::operator[](const std::string& key) {
   return *entries_.back().second;
 }
 
-const Json* JsonObject::find(std::string_view key) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return v.get();
-  }
-  return nullptr;
-}
-
 Json* JsonObject::find(std::string_view key) {
   for (auto& [k, v] : entries_) {
     if (k == key) return v.get();

@@ -25,9 +25,7 @@ class Json;
 class JsonObject {
 public:
   Json& operator[](const std::string& key);
-  const Json* find(std::string_view key) const;
   Json* find(std::string_view key);
-  bool contains(std::string_view key) const { return find(key) != nullptr; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 

@@ -223,8 +223,6 @@ public:
   std::size_t tu_compiles() const { return machines_.computes(); }
   /// Compile requests served from the machine-module cache.
   std::size_t tu_hits() const { return machines_.hits(); }
-  /// Modules revived from the persistent tier instead of compiling.
-  std::size_t tu_disk_hits() const { return machines_.tier_hits(); }
 
 private:
   struct PpEntry {

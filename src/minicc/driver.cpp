@@ -55,12 +55,6 @@ PreprocessResult preprocess_file(const common::Vfs& vfs,
   return preprocess(vfs, path, options);
 }
 
-bool detect_openmp_constructs(const std::string& preprocessed) {
-  const ParseResult parsed = parse(preprocessed);
-  if (!parsed.ok) return false;
-  return ast::uses_openmp(parsed.tu);
-}
-
 CompileToIrResult compile_to_ir(const common::Vfs& vfs,
                                 const std::string& path,
                                 const CompileFlags& flags) {

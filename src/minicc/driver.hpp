@@ -64,9 +64,6 @@ PreprocessResult preprocess_file(const common::Vfs& vfs,
                                  const std::string& path,
                                  const CompileFlags& flags);
 
-/// AST-level OpenMP construct detection on preprocessed source (§4.3).
-bool detect_openmp_constructs(const std::string& preprocessed);
-
 /// Full ahead-of-time build of one TU: compile to IR and lower for the
 /// target in one step (what a traditional native build does).
 struct CompileToTargetResult {

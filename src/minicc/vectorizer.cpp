@@ -410,10 +410,6 @@ void vectorize_loop(Function& fn, std::size_t loop_index, int width,
 
 }  // namespace
 
-bool is_vectorizable(const Function& fn, const LoopInfo& loop) {
-  return analyze(fn, loop).legal;
-}
-
 VectorizeStats vectorize_module(ir::Module& module, int width) {
   VectorizeStats stats;
   if (width <= 1) return stats;

@@ -24,8 +24,4 @@ struct VectorizeStats {
 /// paper observed with early LLVM optimization (§4.3).
 VectorizeStats vectorize_module(ir::Module& module, int width);
 
-/// Whether a specific loop in a function is a legal vectorization
-/// candidate (exposed for tests and pipeline diagnostics).
-bool is_vectorizable(const ir::Function& fn, const ir::LoopInfo& loop);
-
 }  // namespace xaas::minicc

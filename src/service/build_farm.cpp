@@ -171,8 +171,4 @@ std::size_t BuildFarm::tu_cache_hits() const {
   return sum_tu(&minicc::CompileCache::tu_hits);
 }
 
-std::size_t BuildFarm::tu_disk_hits() const {
-  return sum_tu(&minicc::CompileCache::tu_disk_hits);
-}
-
 }  // namespace xaas::service

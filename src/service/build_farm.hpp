@@ -111,8 +111,6 @@ public:
   std::size_t tu_compiles() const;
   /// TU compile requests served from the cache.
   std::size_t tu_cache_hits() const;
-  /// TU modules revived from the persistent tier instead of compiling.
-  std::size_t tu_disk_hits() const;
 
 private:
   /// Per-source-image-digest state: the reconstructed application and the

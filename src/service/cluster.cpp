@@ -1,7 +1,6 @@
 #include "service/cluster.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "common/hashing.hpp"
@@ -145,33 +144,30 @@ Cluster::Cluster(std::vector<vm::NodeSpec> fleet, ClusterOptions options)
     for (std::size_t i = 0; i < take && next < fleet.size(); ++i) {
       slice.push_back(fleet[next++]);
     }
-    shard->gateway = std::make_unique<Gateway>(std::move(slice),
-                                               gateway_options);
+    Gateway::StealFn steal;
+    if (options_.steal) {
+      steal = [this, g](Gateway::Job& job) { return try_steal(g, job); };
+    }
+    shard->gateway.reset(
+        new Gateway(std::move(slice), gateway_options, std::move(steal)));
     shard->served = &metrics_.counter("gateway." + shard->name + ".served");
     shard->stolen = &metrics_.counter("gateway." + shard->name + ".stolen");
     shard_by_name_[shard->name] = g;
     ring_.add(shard->name);
     shards_.push_back(std::move(shard));
   }
-
-  dispatchers_.reserve(shards_.size() * options_.dispatchers_per_gateway);
-  for (std::size_t g = 0; g < shards_.size(); ++g) {
-    for (std::size_t d = 0; d < options_.dispatchers_per_gateway; ++d) {
-      dispatchers_.emplace_back([this, g] { dispatcher_loop(g); });
-    }
-  }
+  // Workers started above may already look for work to steal; shards_ is
+  // complete (and never changes again) from here.
+  stealing_.store(options_.steal, std::memory_order_release);
 }
 
 Cluster::~Cluster() {
   stop_.store(true, std::memory_order_seq_cst);
-  for (auto& shard : shards_) {
-    // Empty critical section: serializes with a dispatcher that checked
-    // the predicate but has not yet slept (same idiom as ~Gateway).
-    std::lock_guard lock(shard->mutex);
-  }
-  for (auto& shard : shards_) shard->cv.notify_all();
-  for (auto& dispatcher : dispatchers_) dispatcher.join();
-  // Gateways (and their workers) die with shards_ after the dispatchers.
+  stealing_.store(false, std::memory_order_seq_cst);
+  // A worker may be mid-steal from a sibling, so every gateway stops
+  // (draining its queue, joining its workers) before any gateway dies
+  // with shards_.
+  for (auto& shard : shards_) shard->gateway->stop();
 }
 
 void Cluster::push(const container::Image& image,
@@ -186,29 +182,30 @@ telemetry::Counter& Cluster::tenant_counter(const std::string& label,
   return metrics_.counter("tenant." + label + "." + which);
 }
 
-void Cluster::complete_inline(Job&& job, ErrorCode code,
+void Cluster::complete_inline(Pending& pending, ErrorCode code,
                               const std::string& error, double retry_after) {
   ClusterRunResult out;
-  out.tenant = job.tenant_label;
+  out.tenant = pending.tenant_label;
   out.result.code = code;
   out.result.error = error;
   out.result.retry_after_seconds = retry_after;
-  out.total_seconds = seconds_since(job.admitted);
-  job.promise.set_value(std::move(out));
+  out.total_seconds = seconds_since(pending.admitted);
+  pending.promise.set_value(std::move(out));
 }
 
 std::future<ClusterRunResult> Cluster::submit(RunRequest request) {
   requests_->add(1);
-  Job job;
-  job.tenant_label = request.tenant.empty() ? "default" : request.tenant;
-  job.admitted = Clock::now();
-  tenant_counter(job.tenant_label, "requests").add(1);
+  auto pending = std::make_shared<Pending>();
+  pending->admitted = Clock::now();
+  pending->tenant_label = request.tenant.empty() ? "default" : request.tenant;
+  const std::string& label = pending->tenant_label;
+  tenant_counter(label, "requests").add(1);
 
-  auto future = job.promise.get_future();
+  auto future = pending->promise.get_future();
   if (stop_.load(std::memory_order_acquire)) {
     rejected_->add(1);
-    tenant_counter(job.tenant_label, "rejected").add(1);
-    complete_inline(std::move(job), ErrorCode::ShuttingDown,
+    tenant_counter(label, "rejected").add(1);
+    complete_inline(*pending, ErrorCode::ShuttingDown,
                     "cluster is shutting down", 0.0);
     return future;
   }
@@ -220,51 +217,47 @@ std::future<ClusterRunResult> Cluster::submit(RunRequest request) {
   if (!quotas_.try_admit(request.tenant, now_seconds(), /*cost=*/1.0,
                          &retry_after)) {
     quota_denied_->add(1);
-    tenant_counter(job.tenant_label, "quota_denied").add(1);
-    complete_inline(std::move(job), ErrorCode::QuotaExceeded,
-                    "tenant quota exceeded for " + job.tenant_label,
-                    retry_after);
+    tenant_counter(label, "quota_denied").add(1);
+    complete_inline(*pending, ErrorCode::QuotaExceeded,
+                    "tenant quota exceeded for " + label, retry_after);
     return future;
   }
 
-  job.class_key = request_class_key(request);
-  const std::string home_name = ring_.lookup(job.class_key);
-  job.home = shard_by_name_.at(home_name);
-  Shard& shard = *shards_[job.home];
+  const std::string home_name = ring_.lookup(request_class_key(request));
+  pending->home = shard_by_name_.at(home_name);
+  Gateway& home = *shards_[pending->home]->gateway;
 
-  // Graceful load-shedding: a full shard sheds instead of queueing
+  // Graceful load-shedding: a full gateway sheds instead of queueing
   // unboundedly, with an estimated drain time so clients back off.
-  if (shard.pending.load(std::memory_order_acquire) >= options_.max_pending) {
+  if (home.queue_depth() >= options_.max_pending) {
     shed_->add(1);
-    tenant_counter(job.tenant_label, "shed").add(1);
+    tenant_counter(label, "shed").add(1);
     complete_inline(
-        std::move(job), ErrorCode::Shed,
+        *pending, ErrorCode::Shed,
         "gateway " + home_name + " backlog full (cluster overloaded)",
-        estimated_wait_seconds(options_.max_pending));
+        home.retry_after_hint());
     return future;
   }
 
-  const double weight = request.weight > 0.0 ? request.weight
-                                             : quotas_.weight(request.tenant);
-  const std::string tenant_label = job.tenant_label;
-  job.request = std::move(request);
-  {
-    std::unique_lock lock(shard.mutex);
-    if (stop_.load(std::memory_order_acquire)) {
-      lock.unlock();
-      rejected_->add(1);
-      tenant_counter(tenant_label, "rejected").add(1);
-      complete_inline(std::move(job), ErrorCode::ShuttingDown,
-                      "cluster is shutting down", 0.0);
-      return future;
-    }
-    shard.wfq.push_weighted(tenant_label, /*cost=*/1.0, weight,
-                            std::move(job));
-    shard.pending.fetch_add(1, std::memory_order_acq_rel);
+  if (request.weight <= 0.0) request.weight = quotas_.weight(request.tenant);
+  pending->bytes = workload_bytes(request.workload);
+  Gateway::Job job{std::move(request), pending->admitted,
+                   [this, pending](RunResult result, Gateway& server) {
+                     complete(*pending, std::move(result), server);
+                   }};
+  const std::size_t depth = home.enqueue(std::move(job));
+  if (depth == 0) {
+    rejected_->add(1);
+    tenant_counter(label, "rejected").add(1);
+    complete_inline(*pending, ErrorCode::ShuttingDown,
+                    "cluster is shutting down", 0.0);
+    return future;
   }
   admitted_->add(1);
-  tenant_counter(tenant_label, "admitted").add(1);
-  shard.cv.notify_one();
+  tenant_counter(label, "admitted").add(1);
+  if (options_.steal && depth >= options_.steal_min_backlog) {
+    wake_thief(pending->home);
+  }
   return future;
 }
 
@@ -281,141 +274,85 @@ std::vector<ClusterRunResult> Cluster::run_all(
 
 std::size_t Cluster::pending() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->pending.load(std::memory_order_acquire);
-  }
+  for (const auto& shard : shards_) total += shard->gateway->queue_depth();
   return total;
 }
 
-double Cluster::estimated_wait_seconds(std::size_t backlog) const {
-  const double ema = std::bit_cast<double>(
-      service_ema_bits_.load(std::memory_order_relaxed));
-  const double per_request = ema > 0.0 ? ema : 1e-3;  // floor pre-completion
-  const double dispatchers =
-      static_cast<double>(options_.dispatchers_per_gateway);
-  return per_request * (1.0 + static_cast<double>(backlog) / dispatchers);
+void Cluster::wake_thief(std::size_t home) {
+  for (std::size_t k = 1; k < shards_.size(); ++k) {
+    if (shards_[(home + k) % shards_.size()]->gateway->wake_idle()) return;
+  }
 }
 
-bool Cluster::try_steal(std::size_t thief, Job* out) {
+bool Cluster::try_steal(std::size_t thief, Gateway::Job& out) {
+  if (!stealing_.load(std::memory_order_acquire)) return false;
   // Most backed-up sibling above the threshold.
-  std::size_t victim_index = shards_.size();
+  Gateway* victim = nullptr;
   std::size_t victim_depth = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (i == thief) continue;
-    const std::size_t depth =
-        shards_[i]->pending.load(std::memory_order_acquire);
+    const std::size_t depth = shards_[i]->gateway->queue_depth();
     if (depth >= options_.steal_min_backlog && depth > victim_depth) {
-      victim_index = i;
+      victim = shards_[i]->gateway.get();
       victim_depth = depth;
     }
   }
-  if (victim_index == shards_.size()) return false;
+  if (victim == nullptr) return false;
 
   // The bandwidth model arbitrates: ship only when the modeled transfer
   // (recent workload size over the inter-gateway fabric) costs less than
-  // the victim's estimated drain of that backlog.
+  // the victim's estimated drain of its backlog.
   const std::uint64_t ema_bytes =
       bytes_ema_.load(std::memory_order_relaxed);
   const std::size_t est_bytes =
       ema_bytes > 0 ? static_cast<std::size_t>(ema_bytes) : 4096;
   const double transfer =
       fabric::transfer_seconds(options_.fabric_stack, est_bytes);
-  if (!steal_profitable(transfer, estimated_wait_seconds(victim_depth))) {
+  if (!steal_profitable(transfer, victim->retry_after_hint())) {
     steal_skipped_->add(1);
     return false;
   }
-
-  Shard& victim = *shards_[victim_index];
-  std::lock_guard lock(victim.mutex);
-  if (!victim.wfq.pop(out)) return false;  // raced its own dispatchers
-  victim.pending.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
+  return victim->try_pop(out);  // false: raced the victim's own workers
 }
 
-void Cluster::dispatcher_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  for (;;) {
-    Job job;
-    bool got = false;
-    bool stolen = false;
-    {
-      std::unique_lock lock(shard.mutex);
-      got = shard.wfq.pop(&job);
-      if (got) shard.pending.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    if (!got && options_.steal && !stop_.load(std::memory_order_acquire)) {
-      got = try_steal(shard_index, &job);
-      stolen = got;
-    }
-    if (!got) {
-      std::unique_lock lock(shard.mutex);
-      if (stop_.load(std::memory_order_acquire) && shard.wfq.empty()) {
-        return;  // own shard drained; siblings drain themselves
-      }
-      // Bounded nap instead of an open wait: a sleeping dispatcher must
-      // periodically rescan siblings for steal opportunities (their
-      // pushes only notify their own shard).
-      shard.cv.wait_for(lock, std::chrono::microseconds(500), [&] {
-        return stop_.load(std::memory_order_acquire) || !shard.wfq.empty();
-      });
-      continue;
-    }
-    serve(shard_index, std::move(job), stolen);
-  }
-}
-
-void Cluster::serve(std::size_t shard_index, Job job, bool stolen) {
-  Shard& shard = *shards_[shard_index];
+void Cluster::complete(Pending& pending, RunResult result, Gateway& server) {
+  std::size_t served = 0;
+  while (shards_[served]->gateway.get() != &server) ++served;
+  Shard& shard = *shards_[served];
+  const bool stolen = served != pending.home;
   double fabric_seconds = 0.0;
-  const std::size_t bytes = workload_bytes(job.request.workload);
   if (stolen) {
     // The shipment the profitability check priced: workload bytes over
     // the inter-gateway fabric.
-    fabric_seconds += fabric::transfer_seconds(options_.fabric_stack, bytes);
+    fabric_seconds = fabric::transfer_seconds(options_.fabric_stack,
+                                              pending.bytes);
     stolen_->add(1);
     shard.stolen->add(1);
-  }
-
-  RunResult result = shard.gateway->submit(job.request).get();
-  const double total = seconds_since(job.admitted);
-
-  // Service-time EMA (steal profitability + retry-after hints).
-  auto ema_bits = service_ema_bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    const double current = std::bit_cast<double>(ema_bits);
-    const double next = current == 0.0 ? total : current * 0.9 + total * 0.1;
-    if (service_ema_bits_.compare_exchange_weak(
-            ema_bits, std::bit_cast<std::uint64_t>(next),
-            std::memory_order_relaxed)) {
-      break;
-    }
+    fabric_nanos_->add(static_cast<std::uint64_t>(fabric_seconds * 1e9));
   }
   // Workload-size EMA (integer arithmetic is plenty for an estimate).
   const std::uint64_t prev_bytes = bytes_ema_.load(std::memory_order_relaxed);
-  bytes_ema_.store(prev_bytes == 0
-                       ? bytes
-                       : (prev_bytes * 9 + static_cast<std::uint64_t>(bytes)) /
-                             10,
+  const std::uint64_t bytes = pending.bytes;
+  bytes_ema_.store(prev_bytes == 0 ? bytes : (prev_bytes * 9 + bytes) / 10,
                    std::memory_order_relaxed);
 
+  const double total = seconds_since(pending.admitted);
   shard.served->add(1);
   (result.ok ? completed_ : failed_)->add(1);
-  tenant_counter(job.tenant_label, result.ok ? "completed" : "failed").add(1);
-  metrics_.histogram("tenant." + job.tenant_label + ".total_seconds")
+  tenant_counter(pending.tenant_label, result.ok ? "completed" : "failed")
+      .add(1);
+  metrics_.histogram("tenant." + pending.tenant_label + ".total_seconds")
       .observe(total);
-  if (fabric_seconds > 0.0) {
-    fabric_nanos_->add(static_cast<std::uint64_t>(fabric_seconds * 1e9));
-  }
 
   ClusterRunResult out;
   out.result = std::move(result);
-  out.tenant = job.tenant_label;
+  out.tenant = pending.tenant_label;
   out.gateway = shard.name;
-  out.home_gateway = shards_[job.home]->name;
+  out.home_gateway = shards_[pending.home]->name;
   out.stolen = stolen;
   out.fabric_seconds = fabric_seconds;
   out.total_seconds = total;
-  job.promise.set_value(std::move(out));
+  pending.promise.set_value(std::move(out));
 
   // Gossip cadence: every gossip_every-th completion on this shard
   // advertises its hot digests to the ring successors, so peers warm up
@@ -424,7 +361,7 @@ void Cluster::serve(std::size_t shard_index, Job job, bool stolen) {
     const std::uint64_t n =
         shard.completions.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n % options_.gossip_every == 0) {
-      if (DistributionPeer* peer = shard.gateway->distribution()) {
+      if (DistributionPeer* peer = server.distribution()) {
         peer->gossip_round();
       }
     }

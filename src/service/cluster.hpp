@@ -6,46 +6,47 @@
 //   Cluster::submit(RunRequest{tenant, weight, ...})
 //     ── per-tenant token bucket ──> quota_denied + retry-after, or
 //     ── consistent-hash ring (request class key: reference/selections/
-//        target) ──> home gateway's shard
-//     ── weighted fair queue (per-tenant WFQ, see fair_queue.hpp) ──>
-//        dispatcher ──> Gateway::submit on the shard's gateway
-//        (per-priority MPMC rings, routing, caches, execution — all the
-//        existing single-gateway machinery)
-//   idle dispatchers STEAL the head of the most backed-up sibling's WFQ,
+//        target) ──> home gateway (shed when its queue holds max_pending)
+//     ── the home gateway's queue (priority classes, a per-tenant WFQ
+//        inside each; see gateway.hpp) ──> a gateway worker ──> routing,
+//        caches, execution
+//   The request is queued once and handed between threads once: the
+//   worker that runs it completes the ClusterRunResult. A worker whose
+//   queue is empty STEALS the head of the most backed-up sibling's queue,
 //   but only when the §6.5 bandwidth model (fabric::transfer_seconds)
-//   prices the shipment below the victim's estimated queue wait. With
-//   artifact_root set, a stolen (or hash-moved) request class finds its
-//   artifacts through the distribution layer (lazy pulls and gossip
-//   between the gateways' registry peers) — the only cross-gateway
-//   artifact path.
+//   prices the shipment below the victim's estimated queue wait. A push
+//   that leaves a queue at steal_min_backlog or more wakes one idle
+//   sibling worker, so nothing polls. With artifact_root set, a stolen
+//   (or hash-moved) request class finds its artifacts through the
+//   distribution layer (lazy pulls and gossip between the gateways'
+//   registry peers) — the only cross-gateway artifact path.
 //
 // Everything reconciles exactly after drain (the fairness bench gate
 // and ClusterStress assert this):
 //   cluster.requests == admitted + rejected + shed + quota_denied
 //   cluster.admitted == completed + failed
 //   cluster.stolen   == sum over gateways of gateway.<name>.stolen
+//   cluster.admitted == sum over gateways of gateway.<name>.served
 // and the same identities hold per tenant, with per-tenant latency
 // histograms (tenant.<t>.total_seconds) counting every admitted request.
 //
 // Thread-safety: submit()/run_all()/snapshot()/pending() are safe from
 // any thread. gateway(i) exposes the owned gateways for inspection; do
 // not mutate them while the cluster serves. Ownership: the Cluster owns
-// its gateways, dispatcher threads, quota table, and metrics registry;
-// the destructor stops admission, drains every queued job (their futures
-// complete), and joins the dispatchers before the gateways die.
+// its gateways, quota table, and metrics registry, and no threads of its
+// own. The destructor stops admission and stealing, then stops every
+// gateway (each drains its queue — every future completes) before any
+// gateway dies.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "fabric/bandwidth.hpp"
@@ -94,17 +95,18 @@ struct ClusterOptions {
   /// Gateways in the cluster; the fleet is split into contiguous
   /// near-equal slices, one per gateway.
   std::size_t gateways = 4;
-  /// Cluster dispatcher threads per gateway: each takes jobs from its
-  /// shard's WFQ (or steals) and drives them through the gateway
-  /// end to end, so this bounds per-gateway concurrency.
+  /// Worker threads per gateway: sets each gateway's worker_threads
+  /// unless `gateway.worker_threads` is set. The name predates the one
+  /// queue, when cluster dispatcher threads fed the gateways.
   std::size_t dispatchers_per_gateway = 2;
   /// Virtual nodes per gateway on the hash ring.
   std::size_t vnodes = 64;
   /// Ring seed: identical seeds place identical request classes on
   /// identical gateways.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Per-gateway WFQ bound: a submission to a shard already holding this
-  /// many pending jobs is shed (code Shed + retry-after hint).
+  /// Per-gateway queue bound: a submission whose home gateway already
+  /// queues this many jobs is shed (code Shed + retry-after hint). The
+  /// Cluster's requests skip the gateway's own max_queue admission.
   std::size_t max_pending = 1024;
   /// Quota for tenants without an explicit entry (default: effectively
   /// unlimited — multi-tenancy is opt-in per tenant).
@@ -115,7 +117,8 @@ struct ClusterOptions {
   /// Work stealing between gateways (disable to pin every request class
   /// to its hash home).
   bool steal = true;
-  /// Victim backlog (pending jobs) required before a steal is considered.
+  /// Victim backlog (queued jobs) required before a steal is considered;
+  /// a push that leaves a queue this deep wakes an idle sibling worker.
   std::size_t steal_min_backlog = 2;
   /// Transport model for inter-gateway traffic (§6.5): steal shipments
   /// and (with artifact_root set) the registry protocol's blob traffic
@@ -137,8 +140,8 @@ struct ClusterOptions {
   /// at construction so one knob prices all inter-gateway traffic.
   DistributionOptions distribution;
   /// Options applied to every owned gateway. worker_threads defaults to
-  /// dispatchers_per_gateway (the dispatchers are the fan-out; a larger
-  /// inner pool would only idle).
+  /// dispatchers_per_gateway. max_queue, reject_on_full and the shedding
+  /// rules apply only to direct Gateway::submit calls.
   GatewayOptions gateway;
 };
 
@@ -153,8 +156,9 @@ struct ClusterRunResult {
   /// Modeled inter-gateway transfer time charged to this request (its
   /// steal shipment), from fabric::transfer_seconds.
   double fabric_seconds = 0.0;
-  /// Cluster admission to completion, wall seconds (includes the WFQ
-  /// wait, which the per-gateway total_seconds does not see).
+  /// Cluster admission to completion, wall seconds. The gateway's
+  /// RunResult times (queue_seconds, total_seconds) run from the same
+  /// admission, so the two totals differ only by the completion hand-off.
   double total_seconds = 0.0;
 };
 
@@ -197,7 +201,7 @@ public:
   const ConsistentHashRing& ring() const { return ring_; }
   QuotaSet& quotas() { return quotas_; }
 
-  /// Jobs admitted to WFQs but not yet taken by a dispatcher.
+  /// Jobs queued in the gateways but not yet taken by a worker.
   std::size_t pending() const;
 
   /// The owned registry fabric, or nullptr when artifact_root was empty.
@@ -220,39 +224,34 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
 
-  struct Job {
-    RunRequest request;
+  /// What an admitted request completes into; shared with the gateway
+  /// job's completion callback.
+  struct Pending {
     std::promise<ClusterRunResult> promise;
     std::string tenant_label;
-    std::string class_key;
     std::size_t home = 0;
+    std::size_t bytes = 0;  // workload_bytes(): a steal's shipment
     Clock::time_point admitted;
   };
 
   struct Shard {
     std::string name;
     std::unique_ptr<Gateway> gateway;
-    /// Guards wfq (and pairs with cv); pending mirrors wfq.size() for
-    /// lock-free backlog reads by thieves and shed checks.
-    std::mutex mutex;
-    std::condition_variable cv;
-    WeightedFairQueue<Job> wfq;
-    std::atomic<std::size_t> pending{0};
     telemetry::Counter* served = nullptr;
     telemetry::Counter* stolen = nullptr;  // jobs THIS gateway stole
     /// Completions on this shard (drives the gossip cadence).
     std::atomic<std::uint64_t> completions{0};
   };
 
-  void dispatcher_loop(std::size_t shard_index);
-  bool try_steal(std::size_t thief, Job* out);
-  void serve(std::size_t shard_index, Job job, bool stolen);
-  /// Estimated seconds until a shard with `backlog` pending jobs would
-  /// reach a newly queued one (service-time EMA over the dispatchers).
-  double estimated_wait_seconds(std::size_t backlog) const;
+  /// The steal policy an idle worker of shard `thief` runs.
+  bool try_steal(std::size_t thief, Gateway::Job& out);
+  /// Wake one idle worker of a sibling of `home` to steal.
+  void wake_thief(std::size_t home);
+  /// A job's completion on `server` (its home gateway or a thief).
+  void complete(Pending& pending, RunResult result, Gateway& server);
   double now_seconds() const;
-  void complete_inline(Job&& job, ErrorCode code, const std::string& error,
-                       double retry_after);
+  void complete_inline(Pending& pending, ErrorCode code,
+                       const std::string& error, double retry_after);
   telemetry::Counter& tenant_counter(const std::string& label,
                                      const char* which);
 
@@ -279,14 +278,15 @@ private:
   /// fabric dies.
   std::unique_ptr<DistributionFabric> fabric_;
 
-  // Cluster-wide EMAs feeding the steal-profitability and retry-after
-  // estimates; relaxed atomics (advisory, like the gateway's).
-  std::atomic<std::uint64_t> service_ema_bits_{0};  // bit_cast<double> s
-  std::atomic<std::uint64_t> bytes_ema_{0};         // workload bytes
+  /// Workload-size EMA pricing the next steal's shipment (relaxed:
+  /// advisory, like the gateways' service-time EMAs).
+  std::atomic<std::uint64_t> bytes_ema_{0};
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
-  std::vector<std::thread> dispatchers_;  // last: joined before shards die
+  /// Set once every shard exists, cleared first by the destructor:
+  /// workers steal only while it holds.
+  std::atomic<bool> stealing_{false};
 };
 
 /// Serialized size estimate of a workload (what a steal ships across the

@@ -54,14 +54,6 @@ std::vector<DistributionPeer*> DistributionFabric::peers() const {
   return ring_;
 }
 
-DistributionPeer* DistributionFabric::find(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  for (DistributionPeer* peer : ring_) {
-    if (peer->name() == name) return peer;
-  }
-  return nullptr;
-}
-
 DistributionStats DistributionFabric::stats() const {
   DistributionStats stats;
   stats.manifest_msgs = manifest_msgs_.load(std::memory_order_relaxed);

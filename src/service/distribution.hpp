@@ -192,7 +192,6 @@ public:
   /// Ring snapshot, registration order. Pointers stay valid as long as
   /// the named peers live (they deregister before dying).
   std::vector<DistributionPeer*> peers() const;
-  DistributionPeer* find(std::string_view name) const;
 
   DistributionStats stats() const;
 
@@ -252,8 +251,8 @@ struct PeerStats {
 /// Ownership: borrows the ArtifactStore and the DistributionFabric, both
 /// of which must outlive the peer. Registers itself on the fabric at
 /// construction, deregisters at destruction — destroy peers before the
-/// fabric, and quiesce in-flight transfers (the Cluster joins its
-/// dispatchers) before destroying any peer.
+/// fabric, and quiesce in-flight transfers (the Cluster stops every
+/// gateway's workers) before destroying any peer.
 class DistributionPeer {
 public:
   DistributionPeer(std::string name, ArtifactStore& store,

@@ -77,10 +77,4 @@ double QuotaSet::weight(const std::string& tenant) const {
   return it != overrides_.end() ? it->second.weight : default_.weight;
 }
 
-TenantQuota QuotaSet::quota(const std::string& tenant) const {
-  std::lock_guard lock(mutex_);
-  const auto it = overrides_.find(tenant);
-  return it != overrides_.end() ? it->second : default_;
-}
-
 }  // namespace xaas::service

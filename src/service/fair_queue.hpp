@@ -1,23 +1,22 @@
-// Fair-share admission primitives for the multi-gateway cluster
-// (service/cluster.hpp): per-tenant token-bucket quotas and weighted
-// fair queuing. Both are driven by an *explicit* clock — every method
-// takes `now` in seconds — so the fairness properties are testable with
-// virtual time (no sleeps, no wall-clock reads): feed a deterministic
-// event sequence, assert the exact admission/drain order
+// Fair-share primitives for the serving plane: per-tenant token-bucket
+// quotas (the cluster's admission, service/cluster.hpp) and weighted
+// fair queuing (the gateway's queue, service/gateway.hpp). Quotas run on
+// an *explicit* clock — every method takes `now` in seconds — and the
+// WFQ on virtual time, so the fairness properties are testable without
+// sleeps or wall-clock reads: feed a deterministic event sequence,
+// assert the exact admission/drain order
 // (tests/service/fair_queue_test.cpp).
 //
 // TokenBucket / QuotaSet answer "may this tenant submit more work right
 // now" (rate * burst quotas, retry-after hints on denial);
 // WeightedFairQueue answers "whose queued job runs next" (service in
-// proportion to weight while backlogged). The cluster layers the WFQ
-// *in front of* each gateway's per-priority MPMC rings: WFQ picks the
-// tenant order, the gateway's rings keep the existing priority/FIFO
-// semantics for whatever the WFQ releases.
+// proportion to weight while backlogged). Each gateway keeps one WFQ per
+// priority class: priority picks the class, the WFQ picks the tenant.
 //
 // Thread-safety: TokenBucket and WeightedFairQueue are deliberately NOT
-// thread-safe (the cluster guards each shard's queue with the shard
-// mutex; tests drive them single-threaded with virtual time). QuotaSet
-// is thread-safe — admission checks race across client threads.
+// thread-safe (the gateway guards its queue with its mutex; tests drive
+// them single-threaded with virtual time). QuotaSet is thread-safe —
+// admission checks race across client threads.
 #pragma once
 
 #include <cstdint>
@@ -92,9 +91,6 @@ public:
   /// when no override exists).
   double weight(const std::string& tenant) const;
 
-  /// The quota in force for this tenant.
-  TenantQuota quota(const std::string& tenant) const;
-
 private:
   mutable std::mutex mutex_;
   TenantQuota default_;
@@ -165,27 +161,8 @@ public:
     return true;
   }
 
-  /// Peek the finish tag of the next job to be served (the steal
-  /// protocol compares backlogs). Returns false when empty.
-  bool head_finish(double* finish) const {
-    bool any = false;
-    for (const auto& [name, state] : tenants_) {
-      if (state.backlog.empty()) continue;
-      if (!any || state.backlog.front().finish < *finish) {
-        *finish = state.backlog.front().finish;
-        any = true;
-      }
-    }
-    return any;
-  }
-
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  std::size_t tenant_depth(const std::string& tenant) const {
-    const auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? 0 : it->second.backlog.size();
-  }
 
 private:
   struct Item {

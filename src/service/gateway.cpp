@@ -103,7 +103,8 @@ std::string numerics_digest(const vm::RunResult& run,
   return common::sha256_hex(bytes);
 }
 
-Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
+Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options,
+                 StealFn steal)
     : options_(std::move(options)),
       fleet_(std::move(fleet)),
       artifact_store_([&]() -> std::unique_ptr<ArtifactStore> {
@@ -122,24 +123,12 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
                                                : options_.distribution_name,
             *artifact_store_, *options_.distribution);
       }()),
-      registry_(options_.registry_shards),
-      farm_(registry_,
-            [&] {
-              // The gateway's workers carry the fan-out; an inner pool at
-              // hardware concurrency would only idle.
-              BuildFarmOptions farm_options = options_.farm;
-              if (farm_options.threads == 0) farm_options.threads = 1;
-              farm_options.artifact_store = artifact_store_.get();
-              farm_options.distribution = peer_.get();
-              return farm_options;
-            }()),
-      scheduler_(registry_, farm_, [&] {
-        DeploySchedulerOptions sched_options = options_.scheduler;
-        if (sched_options.threads == 0) sched_options.threads = 1;
-        sched_options.artifact_store = artifact_store_.get();
-        sched_options.distribution = peer_.get();
-        return sched_options;
-      }()) {
+      // The gateway's workers carry the fan-out; an inner pool wider than
+      // one thread would only idle.
+      farm_(registry_, BuildFarmOptions{1, artifact_store_.get(), peer_.get()}),
+      scheduler_(registry_, farm_,
+                 DeploySchedulerOptions{1, artifact_store_.get(), peer_.get()}),
+      steal_(std::move(steal)) {
   // A zero bound would make every blocking submit() unsatisfiable.
   if (options_.max_queue == 0) options_.max_queue = 1;
   requests_ = &metrics_.counter("gateway.requests");
@@ -224,17 +213,18 @@ Gateway::Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options)
   }
 }
 
-Gateway::~Gateway() {
-  stop_.store(true, std::memory_order_seq_cst);
+Gateway::~Gateway() { stop(); }
+
+void Gateway::stop() {
   {
-    // Empty critical section: serializes with a worker/submitter that
-    // checked the predicate but has not yet slept, so the notify below
-    // cannot be lost.
-    std::lock_guard lock(wait_mutex_);
+    std::lock_guard lock(mutex_);
+    stop_ = true;
   }
   cv_workers_.notify_all();
   cv_space_.notify_all();
-  for (auto& worker : workers_) worker.join();
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 std::future<RunResult> Gateway::submit(RunRequest request) {
@@ -253,138 +243,138 @@ std::vector<std::future<RunResult>> Gateway::submit_batch(
 
 std::future<RunResult> Gateway::submit_impl(RunRequest request,
                                             bool never_block) {
-  requests_->add(1);
-  std::promise<RunResult> promise;
-  auto future = promise.get_future();
+  auto promise = std::make_shared<std::promise<RunResult>>();
+  auto future = promise->get_future();
+  const auto refuse = [&](RunResult result) {
+    promise->set_value(std::move(result));
+    return std::move(future);
+  };
 
-  if (stop_.load(std::memory_order_acquire)) {
-    promise.set_value(reject(request, ErrorCode::ShuttingDown,
-                             "gateway is shutting down"));
-    return future;
+  std::unique_lock lock(mutex_);
+  if (stop_) {
+    lock.unlock();
+    return refuse(reject(ErrorCode::ShuttingDown, "gateway is shutting down"));
   }
   if (should_shed()) {
-    promise.set_value(shed(request, retry_after_hint()));
-    return future;
+    lock.unlock();
+    return refuse(shed(retry_after_hint()));
   }
-
-  // Lock-free admission ticket: queued_ (incremented here, decremented
-  // after a worker pops) enforces max_queue across every class ring, so
-  // a won ticket's push below can never find its ring full.
   bool counted_wait = false;
-  for (;;) {
-    std::size_t depth = queued_.load(std::memory_order_acquire);
-    if (depth >= options_.max_queue) {
-      if (options_.reject_on_full) {
-        promise.set_value(reject(
-            request, ErrorCode::QueueFull,
-            "gateway queue full (" + std::to_string(options_.max_queue) +
-                " requests waiting)",
-            retry_after_hint()));
-        return future;
-      }
-      if (never_block) {
-        // Partial-batch degradation: the caller asked never to stall, so
-        // the requests that do not fit are shed rather than queued.
-        promise.set_value(shed(request, retry_after_hint()));
-        return future;
-      }
-      if (!counted_wait) {
-        counted_wait = true;  // once per submission, not per wakeup
-        backpressure_waits_->add(1);
-      }
-      std::unique_lock lock(wait_mutex_);
-      cv_space_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               queued_.load(std::memory_order_acquire) < options_.max_queue;
-      });
-      if (stop_.load(std::memory_order_acquire)) {
-        lock.unlock();
-        promise.set_value(reject(request, ErrorCode::ShuttingDown,
-                                 "gateway is shutting down"));
-        return future;
-      }
-      continue;  // room may be gone again by the time we re-ticket
+  while (queued_.load(std::memory_order_relaxed) >= options_.max_queue) {
+    if (options_.reject_on_full) {
+      lock.unlock();
+      return refuse(reject(ErrorCode::QueueFull,
+                           "gateway queue full (" +
+                               std::to_string(options_.max_queue) +
+                               " requests waiting)",
+                           retry_after_hint()));
     }
-    if (queued_.compare_exchange_weak(depth, depth + 1,
-                                      std::memory_order_acq_rel)) {
-      break;
+    if (never_block) {
+      // Partial-batch degradation: the caller asked never to stall, so
+      // the requests that do not fit are shed rather than queued.
+      lock.unlock();
+      return refuse(shed(retry_after_hint()));
+    }
+    if (!counted_wait) {
+      counted_wait = true;  // once per submission, not per wakeup
+      backpressure_waits_->add(1);
+    }
+    cv_space_.wait(lock);
+    if (stop_) {
+      lock.unlock();
+      return refuse(
+          reject(ErrorCode::ShuttingDown, "gateway is shutting down"));
     }
   }
-
-  admitted_->add(1);
-  queue_depth_->add(1);
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Job job{std::move(request), std::move(promise), Clock::now(), seq};
-  const std::int64_t priority = job.request.priority;
-  common::MpmcRing<Job>* ring = ring_for(priority);
-  // Cannot fail: queued_ <= max_queue <= every ring's capacity.
-  while (!ring->try_push(std::move(job))) {
-  }
-  {
-    // Serialize with a worker deciding to sleep (see ~Gateway).
-    std::lock_guard lock(wait_mutex_);
-  }
+  push_locked(Job{std::move(request), Clock::now(),
+                  [promise](RunResult result, Gateway&) {
+                    promise->set_value(std::move(result));
+                  }});
+  lock.unlock();
   cv_workers_.notify_one();
   return future;
 }
 
-common::MpmcRing<Gateway::Job>* Gateway::ring_for(std::int64_t priority) {
+std::size_t Gateway::enqueue(Job&& job) {
+  std::size_t depth = 0;
   {
-    const auto table = class_table_.read();
-    for (ClassRing* cls : *table) {
-      if (cls->priority == priority) return &cls->ring;
-    }
+    std::lock_guard lock(mutex_);
+    if (stop_) return 0;
+    depth = push_locked(std::move(job));
   }
-  std::lock_guard lock(class_mutex_);
-  {
-    const auto table = class_table_.read();  // re-check under the lock
-    for (ClassRing* cls : *table) {
-      if (cls->priority == priority) return &cls->ring;
-    }
-  }
-  class_storage_.push_back(
-      std::make_unique<ClassRing>(priority, options_.max_queue));
-  ClassRing* fresh = class_storage_.back().get();
-  class_table_.update([&](ClassTable& table) {
-    table.push_back(fresh);
-    std::sort(table.begin(), table.end(),
-              [](const ClassRing* a, const ClassRing* b) {
-                return a->priority > b->priority;
-              });
-  });
-  return &fresh->ring;
+  cv_workers_.notify_one();
+  return depth;
 }
 
-bool Gateway::try_dequeue(Job& out, DrainState& drain) {
-  const auto table = class_table_.read();
-  const ClassTable& classes = *table;
-  const std::size_t n = classes.size();
-  if (n == 0) return false;
-  std::size_t start = 0;
-  if (options_.drain_quantum > 0 && drain.streak >= options_.drain_quantum) {
-    // This worker has drained a full quantum from one class: offer the
-    // next lower class the first shot this round (weighted drain).
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      if (classes[i]->priority == drain.last_priority) {
-        start = i + 1;
-        break;
-      }
-    }
-    drain.streak = 0;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = (start + k) % n;
-    if (classes[i]->ring.try_pop(out)) {
-      if (classes[i]->priority == drain.last_priority) {
-        ++drain.streak;
-      } else {
-        drain.last_priority = classes[i]->priority;
-        drain.streak = 1;
-      }
+std::size_t Gateway::push_locked(Job&& job) {
+  job.seq = next_seq_++;
+  // Copied first: the push moves the job, tenant string included.
+  const std::string tenant = job.request.tenant;
+  const double weight = job.request.weight;
+  queue_[job.request.priority].push_weighted(tenant, /*cost=*/1.0, weight,
+                                             std::move(job));
+  queue_depth_->add(1);
+  return queued_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+bool Gateway::pop_locked(Job& out) {
+  if (queued_.load(std::memory_order_relaxed) == 0) return false;
+  for (auto& [priority, tenants] : queue_) {
+    if (tenants.pop(&out)) {
+      queued_.fetch_sub(1, std::memory_order_relaxed);
+      queue_depth_->add(-1);
       return true;
     }
   }
   return false;
+}
+
+bool Gateway::try_pop(Job& out) {
+  {
+    std::lock_guard lock(mutex_);
+    if (!pop_locked(out)) return false;
+  }
+  cv_space_.notify_one();
+  return true;
+}
+
+bool Gateway::wake_idle() {
+  bool idle = false;
+  {
+    std::lock_guard lock(mutex_);
+    ++wakeups_;
+    idle = idle_ > 0;
+  }
+  if (idle) cv_workers_.notify_one();
+  return idle;
+}
+
+bool Gateway::next_job(Job& out) {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    if (pop_locked(out)) {
+      lock.unlock();
+      cv_space_.notify_one();
+      return true;
+    }
+    if (stop_) return false;  // drained
+    if (steal_) {
+      // The steal locks a sibling's queue, never this one. wakeups_ says
+      // whether a sibling backed up meanwhile: its wake_idle() found no
+      // worker asleep here, so this one retries instead of sleeping.
+      const std::uint64_t seen = wakeups_;
+      lock.unlock();
+      if (steal_(out)) return true;
+      lock.lock();
+      if (wakeups_ != seen || queued_.load(std::memory_order_relaxed) > 0 ||
+          stop_) {
+        continue;
+      }
+    }
+    ++idle_;
+    cv_workers_.wait(lock);
+    --idle_;
+  }
 }
 
 bool Gateway::should_shed() const {
@@ -498,32 +488,13 @@ telemetry::MetricsSnapshot Gateway::snapshot() const {
 }
 
 void Gateway::worker_loop() {
-  DrainState drain;
   for (;;) {
     Job job;
-    // Fast path: pop without touching the wait mutex.
-    bool got = try_dequeue(job, drain);
-    if (!got) {
-      std::unique_lock lock(wait_mutex_);
-      cv_workers_.wait(lock, [&] {
-        if ((got = try_dequeue(job, drain))) return true;
-        // Exit only once stopping AND no ticket is outstanding (a
-        // ticketed job may still be in flight between CAS and push).
-        return stop_.load(std::memory_order_acquire) &&
-               queued_.load(std::memory_order_acquire) == 0;
-      });
-      if (!got) return;  // stop_ set and nothing left to drain
-    }
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      // Serialize with a submitter deciding to block (see ~Gateway).
-      std::lock_guard space_lock(wait_mutex_);
-    }
-    cv_space_.notify_one();
-    // During shutdown, peers sleep until queued_ drains to zero — the
-    // worker that took the last job must wake them to exit.
-    if (stop_.load(std::memory_order_acquire)) cv_workers_.notify_all();
-    queue_depth_->add(-1);
+    if (!next_job(job)) return;
+    // Counted where it runs (reject() and shed() count refusals), so a
+    // stolen job reconciles at its thief.
+    requests_->add(1);
+    admitted_->add(1);
     in_flight_->add(1);
     // Queue wait is admission→dequeue, measured here so resolve/routing
     // overheads inside execute() are never misattributed to the queue.
@@ -553,12 +524,12 @@ void Gateway::worker_loop() {
 
 void Gateway::finish(Job job, RunResult result) {
   result.completion_seq = completion_seq_.fetch_add(1) + 1;
-  job.promise.set_value(std::move(result));
+  job.done(std::move(result), *this);
 }
 
-RunResult Gateway::reject(RunRequest& request, ErrorCode code,
-                          const std::string& reason, double retry_after) {
-  (void)request;
+RunResult Gateway::reject(ErrorCode code, const std::string& reason,
+                          double retry_after) {
+  requests_->add(1);
   rejected_->add(1);
   RunResult result;
   result.code = code;
@@ -568,8 +539,8 @@ RunResult Gateway::reject(RunRequest& request, ErrorCode code,
   return result;
 }
 
-RunResult Gateway::shed(const RunRequest& request, double retry_after) {
-  (void)request;
+RunResult Gateway::shed(double retry_after) {
+  requests_->add(1);
   shed_->add(1);
   RunResult result;
   result.code = ErrorCode::Shed;

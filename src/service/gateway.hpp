@@ -7,15 +7,21 @@
 //
 // One request travels:
 //
-//   submit() ── admission ──> per-class MPMC rings ── worker ──> routing
-//     (bounded, backpressure)    (priority desc,          (ISA compatibility +
-//                                 FIFO within a class)     least current load,
-//                                                          one epoch snapshot)
+//   submit() ── admission ──> the queue ── worker ──> routing
+//     (bounded, backpressure,   (priority classes,  (ISA compatibility +
+//      shedding)                 highest first; a    least current load,
+//                                WFQ over tenants    one epoch snapshot)
+//                                inside each class)
 //        ──> deploy (DeployScheduler/BuildFarm; SpecializationCache and
 //             CompileCache make repeat specializations ~free)
 //        ──> run (pre-decoded program on the routed node, per-run stats
 //             hook into telemetry)
 //        ──> RunResult {numerics digest, per-stage latencies, cache hits}
+//
+// Under a Cluster (cluster.hpp) the queue is the only one between
+// cluster admission and the VM: the Cluster pushes each admitted request
+// straight into its home gateway's queue, and an idle worker steals the
+// head of a backed-up sibling's queue through the Cluster's steal policy.
 //
 // Everything the gateway and the caches do is measured into a
 // telemetry::MetricsRegistry (see telemetry.hpp); snapshot() exposes it.
@@ -25,6 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -34,10 +41,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_ring.hpp"
 #include "common/rcu.hpp"
 #include "service/build_farm.hpp"
 #include "service/deploy_scheduler.hpp"
+#include "service/fair_queue.hpp"
 #include "service/fault.hpp"
 #include "service/reliability.hpp"
 #include "service/sharded_registry.hpp"
@@ -61,21 +68,23 @@ struct RunRequest {
   bool auto_specialize = true;  // source path only
   vm::Workload workload;
   int threads = 1;
-  /// Admission priority: higher runs first; FIFO within one priority.
+  /// Admission priority: higher runs first; within one priority the
+  /// queue shares service between tenants by weight (FIFO per tenant).
   int priority = 0;
-  /// Total wall-clock budget in seconds, measured from admission
-  /// (0 = no deadline). Checked at dequeue, before each attempt, before
-  /// the run, and before every backoff sleep; work already in flight is
-  /// never preempted.
+  /// Total wall-clock budget in seconds, measured from admission — the
+  /// Cluster's admission for a cluster request (0 = no deadline).
+  /// Checked at dequeue, before each attempt, before the run, and before
+  /// every backoff sleep; work already in flight is never preempted.
   double deadline_seconds = 0.0;
 
-  // Multi-tenancy (consumed by the cluster front tier,
-  // service/cluster.hpp — a single Gateway ignores both fields).
+  // Multi-tenancy: the gateway's queue fair-shares by both fields; the
+  // cluster front tier (service/cluster.hpp) also applies quotas.
   /// Tenant identity for quota and fair-share accounting; "" is the
   /// anonymous default tenant.
   std::string tenant;
-  /// Per-request WFQ weight override (0 = the tenant's configured
-  /// weight). Larger weights drain faster while backlogged.
+  /// Per-request WFQ weight (0 = the tenant's configured weight under a
+  /// Cluster, 1 on a lone Gateway). Larger weights drain faster while
+  /// backlogged.
   double weight = 0.0;
 };
 
@@ -128,7 +137,7 @@ std::string numerics_digest(const vm::RunResult& run,
 struct GatewayOptions {
   /// Worker threads executing requests (0 = hardware concurrency). The
   /// gateway's workers are the fan-out; the inner scheduler/farm pools
-  /// are left at 1 thread unless explicitly set.
+  /// run 1 thread each.
   std::size_t worker_threads = 0;
   /// Admitted-but-not-started bound, clamped to >= 1 (a zero bound
   /// would make blocking submission unsatisfiable). At the bound,
@@ -136,8 +145,6 @@ struct GatewayOptions {
   /// the future immediately with an error.
   std::size_t max_queue = 256;
   bool reject_on_full = false;
-  /// Shards of the owned registry.
-  std::size_t registry_shards = 16;
   /// Persistent artifact store directory. When non-empty the gateway
   /// owns an ArtifactStore rooted there and installs it as the disk tier
   /// under both specialization caches and the farm's TU caches — a
@@ -157,11 +164,6 @@ struct GatewayOptions {
   /// This gateway's peer name on the fabric (the Cluster passes its
   /// shard name); defaults to "gateway" when empty.
   std::string distribution_name;
-  /// Forwarded to the owned DeployScheduler / BuildFarm (their `threads`
-  /// fields default to 1 here — see worker_threads; their
-  /// `artifact_store` pointers are overwritten with the owned store).
-  DeploySchedulerOptions scheduler;
-  BuildFarmOptions farm;
   /// Retry policy for transient deploy/run failures (max_attempts = 1
   /// disables retries). A waiter that inherited a failing single-flight
   /// leader's result retries immediately without consuming an attempt.
@@ -180,12 +182,6 @@ struct GatewayOptions {
   std::size_t shed_min_samples = 16;
   /// Failure-rate window length, seconds.
   double shed_window_seconds = 1.0;
-  /// Weighted priority drain: after this many consecutive dequeues from
-  /// one priority class, a worker offers the next lower class one
-  /// dequeue before returning to the top — bounds starvation of low
-  /// classes under a sustained high-priority stream. 0 (the default)
-  /// keeps strict priority order (higher always drains first).
-  std::size_t drain_quantum = 0;
 };
 
 /// The serving gateway. Owns the registry, the deploy services, the node
@@ -200,6 +196,8 @@ struct GatewayOptions {
 /// returned by registry()/scheduler()/farm()/metrics() are valid for the
 /// gateway's lifetime. The destructor stops admission, drains every
 /// queued request (their futures complete), and joins the workers.
+/// Under a Cluster, the Cluster stops every gateway's workers before any
+/// gateway dies.
 ///
 /// Telemetry names reported (see docs/SERVICE.md "Telemetry"):
 ///   counters   gateway.{requests,admitted,rejected,shed,completed,failed,
@@ -220,11 +218,15 @@ struct GatewayOptions {
 ///              spec_cache.lowering_seconds, tu_cache.compile_seconds
 /// After the queue drains: requests == admitted + rejected + shed and
 /// admitted == completed + failed == gateway.total_seconds count —
-/// exactly, including across the per-class admission rings.
+/// exactly. A refused request is counted when refused, a queued one when
+/// a worker takes it — by the gateway that runs it, which for a stolen
+/// job is the thief. A Cluster request skips this gateway's admission
+/// rules.
 class Gateway {
 public:
   explicit Gateway(std::vector<vm::NodeSpec> fleet,
-                   GatewayOptions options = {});
+                   GatewayOptions options = {})
+      : Gateway(std::move(fleet), std::move(options), StealFn()) {}
   ~Gateway();
 
   Gateway(const Gateway&) = delete;
@@ -279,38 +281,29 @@ public:
   DistributionPeer* distribution() { return peer_.get(); }
 
 private:
+  // The Cluster queues its admitted requests here, steals between its
+  // gateways, and stops every gateway before any dies.
+  friend class Cluster;
   using Clock = std::chrono::steady_clock;
 
+  /// One queued request. `done` receives the result together with the
+  /// gateway whose worker ran it (a sibling, when the job was stolen).
   struct Job {
     RunRequest request;
-    std::promise<RunResult> promise;
     Clock::time_point admitted;
+    std::function<void(RunResult, Gateway&)> done;
     /// Admission sequence number; seeds the per-request backoff jitter.
     std::uint64_t seq = 0;
   };
+
+  /// An idle worker's source of work from sibling queues (the Cluster's
+  /// steal policy): fills the job and returns true to run it here.
+  using StealFn = std::function<bool(Job&)>;
 
   /// Per-node in-flight count, cache-line-padded (routing reads all,
   /// workers write their own).
   struct alignas(64) NodeLoad {
     std::atomic<int> active{0};
-  };
-
-  /// One bounded MPMC ring per priority value, FIFO within the class.
-  /// Classes are created on demand, owned forever (class_storage_), and
-  /// published to workers through an RCU snapshot sorted by descending
-  /// priority — admission and drain never take a queue-wide lock.
-  struct ClassRing {
-    ClassRing(std::int64_t priority_, std::size_t capacity)
-        : priority(priority_), ring(capacity) {}
-    const std::int64_t priority;
-    common::MpmcRing<Job> ring;
-  };
-  using ClassTable = std::vector<ClassRing*>;
-
-  /// Per-worker weighted-drain state (see GatewayOptions::drain_quantum).
-  struct DrainState {
-    std::int64_t last_priority = 0;
-    std::size_t streak = 0;
   };
 
   /// Routing-epoch view of the breaker fleet: `open` nodes cooling until
@@ -326,13 +319,27 @@ private:
     std::vector<Node> nodes;
   };
 
+  Gateway(std::vector<vm::NodeSpec> fleet, GatewayOptions options,
+          StealFn steal);
+
   void worker_loop();
   std::future<RunResult> submit_impl(RunRequest request, bool never_block);
-  /// Ring for `priority`, creating (and publishing) the class on first use.
-  common::MpmcRing<Job>* ring_for(std::int64_t priority);
-  /// Pop the next job honoring priority order (strict, or weighted when
-  /// drain_quantum > 0). Lock-free: pins the class table and scans.
-  bool try_dequeue(Job& out, DrainState& drain);
+  /// Queue a job that skips admission (the Cluster's path). Returns the
+  /// queue depth after the push, or 0 — with `job` untouched — when the
+  /// gateway is stopping.
+  std::size_t enqueue(Job&& job);
+  /// Pop this queue's head for a thief; false when empty.
+  bool try_pop(Job& out);
+  /// Tell a sleeping worker that a sibling backed up, so it tries to
+  /// steal. Returns whether a worker was asleep to take the hint.
+  bool wake_idle();
+  /// Stop admission, drain the queue, and join the workers. Idempotent.
+  void stop();
+  /// The worker's next job: own queue, else a steal, else sleep. Returns
+  /// false once stopping with the queue drained.
+  bool next_job(Job& out);
+  std::size_t push_locked(Job&& job);
+  bool pop_locked(Job& out);
   /// Publish a node's breaker transition into the routing snapshot.
   void publish_route_state(std::size_t node_index, bool open,
                            Clock::time_point open_until);
@@ -352,13 +359,14 @@ private:
                          const std::string& error, int charged_attempts,
                          std::uint64_t jitter_seed, const Deadline& deadline,
                          bool immediate);
-  RunResult reject(RunRequest& request, ErrorCode code,
-                   const std::string& reason, double retry_after = 0.0);
-  RunResult shed(const RunRequest& request, double retry_after);
+  RunResult reject(ErrorCode code, const std::string& reason,
+                   double retry_after = 0.0);
+  RunResult shed(double retry_after);
   /// Whether admission should shed right now (queue fraction or trailing
   /// failure rate over threshold). Lock-free.
   bool should_shed() const;
-  /// Estimated queue drain time — the retry_after hint. Lock-free.
+  /// Estimated queue drain time — the retry_after hint, and a victim's
+  /// wait in the Cluster's steal pricing. Lock-free.
   double retry_after_hint() const;
   /// Feed the failure-rate window and the service-time EMA.
   void record_completion(bool ok, double total_seconds);
@@ -395,7 +403,7 @@ private:
   // After the store (the peer serves out of it), before the services
   // (their distribution tiers borrow the peer). Registered on the fabric
   // for its whole lifetime; the Cluster quiesces cross-gateway traffic
-  // (joins its dispatchers) before any gateway dies.
+  // (stops every gateway's workers) before any gateway dies.
   std::unique_ptr<DistributionPeer> peer_;
   ShardedRegistry registry_;
   BuildFarm farm_;
@@ -409,10 +417,8 @@ private:
   // routing scan, a completion, and an admission never false-share.
   alignas(64) std::atomic<std::uint64_t> route_rr_{0};
   alignas(64) std::atomic<std::uint64_t> completion_seq_{0};
-  alignas(64) std::atomic<std::uint64_t> next_seq_{0};
-  /// Admitted-but-not-started count: the ticket that enforces max_queue
-  /// across all class rings (incremented before push, decremented after
-  /// pop — so no ring can ever be offered more than its capacity).
+  /// Queued-but-not-started count, mirrored from queue_ for lock-free
+  /// readers (shedding, hints, queue_depth(), steal victim selection).
   alignas(64) std::atomic<std::size_t> queued_{0};
 
   // Trailing failure-rate window (load shedding) + service-time EMA (the
@@ -422,22 +428,17 @@ private:
   std::atomic<std::uint64_t> window_failed_{0};
   std::atomic<std::uint64_t> service_ema_bits_{0};  // bit_cast<double>
 
-  /// Class-ring ownership: rings are created on demand, never freed
-  /// while the gateway lives (workers hold raw pointers via the pinned
-  /// ClassTable snapshot). class_mutex_ serializes creation only —
-  /// admission and drain go through class_table_ lock-free.
-  std::mutex class_mutex_;
-  std::vector<std::unique_ptr<ClassRing>> class_storage_;
-  common::rcu::Snapshot<ClassTable> class_table_;
-
-  /// Sleep/wake plumbing only — never guards queue state. Producers and
-  /// consumers touch it solely to publish "something changed" to a
-  /// blocked peer (acquired empty before notify so wakeups can't be
-  /// lost); the job handoff itself is the lock-free ring.
-  std::mutex wait_mutex_;
-  std::condition_variable cv_workers_;  // a job was pushed / stopping
-  std::condition_variable cv_space_;    // a job was popped / stopping
-  std::atomic<bool> stop_{false};
+  /// The queue: one WFQ over tenants per priority class, highest class
+  /// first. mutex_ guards it and every field up to stop_.
+  std::mutex mutex_;
+  std::map<int, WeightedFairQueue<Job>, std::greater<>> queue_;
+  std::condition_variable cv_workers_;  // a job was pushed / wake_idle / stop
+  std::condition_variable cv_space_;    // a job was popped / stop
+  std::size_t idle_ = 0;                // workers asleep on cv_workers_
+  std::uint64_t wakeups_ = 0;           // wake_idle() calls so far
+  std::uint64_t next_seq_ = 0;
+  bool stop_ = false;
+  const StealFn steal_;  // empty on a lone Gateway
 
   std::vector<std::thread> workers_;  // last member: started after, joined in dtor
 };

@@ -5,9 +5,6 @@
 
 namespace xaas::service {
 
-ShardedRegistry::ShardedRegistry(std::size_t shard_count)
-    : shard_count_(std::max<std::size_t>(1, shard_count)) {}
-
 std::string ShardedRegistry::push(const container::Image& image,
                                   const std::string& reference) {
   return push(std::make_shared<const container::Image>(image), reference);

@@ -1,8 +1,9 @@
-// Thread-safe registry — the serving-layer counterpart of
-// container::Registry (§4.3/§5.2: many heterogeneous nodes pull IR
-// containers and specialize on demand).
+// The container registry: push/pull by tag or digest, multi-arch index
+// queries, and annotation reads before pulling (§4.3/§5.2: many
+// heterogeneous nodes pull IR containers and specialize on demand; the
+// paper proposes multi-IR indexes in place of multi-arch ones).
 //
-// Two scaling changes versus the single-threaded map:
+// Built for concurrent serving:
 //  - images are held as shared_ptr<const Image>, so `pull` hands out a
 //    reference instead of deep-copying every layer, and a popular image
 //    is stored once no matter how many fleets pull it;
@@ -36,11 +37,7 @@ namespace xaas::service {
 /// images remain valid after the registry drops or replaces them.
 class ShardedRegistry {
 public:
-  /// `shard_count` is kept for API compatibility with the lock-sharded
-  /// implementation; it only sizes shard_count() reporting. Reads are
-  /// wait-free regardless.
-  explicit ShardedRegistry(std::size_t shard_count = 16);
-
+  ShardedRegistry() = default;
   ShardedRegistry(const ShardedRegistry&) = delete;
   ShardedRegistry& operator=(const ShardedRegistry&) = delete;
 
@@ -77,7 +74,6 @@ public:
       const std::string& arch) const;
 
   std::size_t image_count() const;
-  std::size_t shard_count() const { return shard_count_; }
 
 private:
   struct State {
@@ -93,7 +89,6 @@ private:
         by_ref;  // reference -> blob (always tags composed with images)
   };
 
-  std::size_t shard_count_;
   common::rcu::Snapshot<State> state_;
 };
 

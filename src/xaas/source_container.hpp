@@ -9,7 +9,6 @@
 
 #include "buildsys/configure.hpp"
 #include "container/image.hpp"
-#include "container/registry.hpp"
 #include "minicc/lower.hpp"
 #include "spec/intersect.hpp"
 #include "vm/executor.hpp"

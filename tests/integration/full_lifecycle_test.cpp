@@ -8,8 +8,8 @@
 #include "apps/minilulesh.hpp"
 #include "apps/minimd.hpp"
 #include "container/hooks.hpp"
-#include "container/registry.hpp"
 #include "minicc/driver.hpp"
+#include "service/sharded_registry.hpp"
 #include "xaas/ir_deploy.hpp"
 #include "xaas/ir_pipeline.hpp"
 #include "xaas/source_container.hpp"
@@ -25,7 +25,7 @@ TEST(Lifecycle, RegistryRoundTripPreservesDeployability) {
   const auto build = build_ir_container(app, isa::Arch::X86_64, options);
   ASSERT_TRUE(build.ok) << build.error;
 
-  container::Registry registry;
+  service::ShardedRegistry registry;
   const std::string digest = registry.push(build.image, "spcl/lulesh:ir");
 
   // A client can query specialization points before pulling (§5.2).
@@ -38,7 +38,7 @@ TEST(Lifecycle, RegistryRoundTripPreservesDeployability) {
 
   // Pull by digest and deploy.
   const auto pulled = registry.pull(digest);
-  ASSERT_TRUE(pulled.has_value());
+  ASSERT_NE(pulled, nullptr);
   IrDeployOptions deploy_options;
   deploy_options.selections = {{"LULESH_MPI", "ON"}, {"LULESH_OPENMP", "ON"}};
   const DeployedApp deployed =
@@ -133,7 +133,7 @@ TEST(Lifecycle, OneIrImageServesManyConfigsEquivalentToNativeBuilds) {
 
 TEST(Lifecycle, MultiArchRegistryServesRightImagePerSystem) {
   const Application app = apps::make_minilulesh();
-  container::Registry registry;
+  service::ShardedRegistry registry;
   registry.push(build_source_image(app, isa::Arch::X86_64),
                 "spcl/lulesh:src-amd64");
   registry.push(build_source_image(app, isa::Arch::AArch64),
@@ -145,7 +145,7 @@ TEST(Lifecycle, MultiArchRegistryServesRightImagePerSystem) {
            {"aurora", "spcl/lulesh:src-amd64"},
            {"clariden", "spcl/lulesh:src-arm64"}}) {
     const auto image = registry.pull(arch_tag);
-    ASSERT_TRUE(image.has_value());
+    ASSERT_NE(image, nullptr);
     const DeployedApp deployed =
         deploy_source_container(*image, app, vm::node(node_name));
     ASSERT_TRUE(deployed.ok) << node_name << ": " << deployed.error;

@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -289,6 +291,35 @@ TEST(Cluster, QuotaDenialIsImmediateAndRetryable) {
                 snap.counter("cluster.quota_denied"));
 }
 
+// A request's deadline runs from cluster admission: time spent queued
+// behind another request counts against it.
+TEST(Cluster, DeadlineCoversClusterQueueWait) {
+  const Application app = make_app();
+  ClusterOptions options = small_cluster_options();
+  options.gateways = 1;
+  options.dispatchers_per_gateway = 1;
+  Cluster cluster({vm::node("ault23")}, options);
+  cluster.push(make_ir_image(app), "spcl/minimd:ir");
+
+  // A fresh lowering plus a large workload holds the only worker.
+  RunRequest blocker = tenant_request("t", "AVX_512");
+  blocker.workload = apps::minimd_workload({512, 32, 24, 256});
+  auto blocked = cluster.submit(std::move(blocker));
+  while (cluster.pending() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  RunRequest urgent = tenant_request("t", "AVX_512");
+  urgent.deadline_seconds = 0.005;
+  const auto result = cluster.submit(std::move(urgent)).get();
+  ASSERT_TRUE(blocked.get().result.ok);
+  EXPECT_EQ(result.result.code, ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(result.result.error, "deadline exceeded while queued");
+  EXPECT_EQ(result.result.attempts, 0);
+  EXPECT_GE(result.result.queue_seconds, 0.005);
+  EXPECT_GE(result.total_seconds, result.result.total_seconds);
+}
+
 // With artifact_root set, the gateways' stores form a registry ring:
 // after one gateway builds a class and gossip drains, the sibling serves
 // the same class from pre-warmed blobs — zero lowerings, zero TU
@@ -559,6 +590,9 @@ TEST(ClusterStress, HotClassStealsReconcileAndStayBitIdentical) {
     }
   }
   EXPECT_EQ(digests.size(), 1u);  // one class, one numeric answer
+  // One worker per gateway: the home backlog reaches 47, far past
+  // steal_min_backlog, while three siblings idle.
+  EXPECT_GT(stolen_seen, 0u);
 
   const auto snap = cluster.snapshot();
   EXPECT_EQ(snap.counter("cluster.stolen"), stolen_seen);
@@ -573,6 +607,65 @@ TEST(ClusterStress, HotClassStealsReconcileAndStayBitIdentical) {
             static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(snap.counter("cluster.completed"),
             static_cast<std::uint64_t>(kRequests));
+
+  // Each gateway reconciles on its own, counting the jobs its workers
+  // ran (stolen ones at the thief).
+  for (std::size_t g = 0; g < cluster.gateway_count(); ++g) {
+    const auto gw = cluster.gateway(g).snapshot();
+    const std::string& name = cluster.gateway_name(g);
+    EXPECT_EQ(gw.counter("gateway.requests"),
+              gw.counter("gateway.admitted") +
+                  gw.counter("gateway.rejected") +
+                  gw.counter("gateway.shed"))
+        << name;
+    EXPECT_EQ(gw.counter("gateway.admitted"),
+              gw.counter("gateway.completed") + gw.counter("gateway.failed"))
+        << name;
+    EXPECT_EQ(gw.counter("gateway.admitted"),
+              gw.histograms.at("gateway.total_seconds").count)
+        << name;
+    EXPECT_EQ(gw.counter("gateway.admitted"),
+              snap.counter("gateway." + name + ".served"))
+        << name;
+    EXPECT_EQ(gw.gauge("gateway.queue_depth"), 0) << name;
+    EXPECT_EQ(gw.gauge("gateway.in_flight"), 0) << name;
+  }
+}
+
+// Destroying a cluster with work queued (stealing on) completes every
+// future: the gateways drain their queues before any of them dies.
+TEST(ClusterStress, ShutdownWithBacklogCompletesEveryFuture) {
+  const Application app = make_app();
+  const container::Image image = make_ir_image(app);
+  ClusterOptions options = stress_cluster_options();
+  options.dispatchers_per_gateway = 1;
+  constexpr int kRequests = 64;
+  std::vector<std::future<ClusterRunResult>> futures;
+  futures.reserve(kRequests);
+  {
+    Cluster cluster(vm::simulated_fleet(vm::node("ault23"), 8, "node-"),
+                    options);
+    cluster.push(image, "spcl/minimd:ir");
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(cluster.submit(
+          tenant_request(i % 3 == 0 ? "cold" : "hot",
+                         i % 2 == 0 ? "SSE4.1" : "AVX_512")));
+    }
+    EXPECT_GT(cluster.pending(), 0u);  // the backlog the destructor meets
+  }
+  int ok = 0;
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const auto result = future.get();
+    if (result.result.ok) {
+      ++ok;
+    } else {
+      EXPECT_EQ(result.result.code, ErrorCode::ShuttingDown)
+          << result.result.error;
+    }
+  }
+  EXPECT_GT(ok, 0);
 }
 
 }  // namespace

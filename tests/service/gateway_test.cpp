@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <thread>
+#include <tuple>
 
 #include "apps/minimd.hpp"
 #include "xaas/ir_pipeline.hpp"
@@ -197,6 +199,18 @@ TEST(Gateway, PriorityOrdersQueuedRequests) {
     request.priority = -5;
     low.push_back(gateway.submit(std::move(request)));
   }
+  // One priority shared by two tenants weighted 2:1, the slow one
+  // submitting all of its requests first.
+  std::vector<std::pair<std::string, std::future<RunResult>>> shared;
+  for (const auto& [tenant, weight, count] :
+       {std::tuple{"slow", 1.0, 3}, std::tuple{"fast", 2.0, 6}}) {
+    for (int i = 0; i < count; ++i) {
+      RunRequest request = ir_request("AVX_512");
+      request.tenant = tenant;
+      request.weight = weight;
+      shared.emplace_back(tenant, gateway.submit(std::move(request)));
+    }
+  }
   for (int i = 0; i < 3; ++i) {
     RunRequest request = ir_request("AVX_512");
     request.priority = 5;
@@ -220,6 +234,27 @@ TEST(Gateway, PriorityOrdersQueuedRequests) {
   // Every high-priority request completed before every low-priority one,
   // even though the lows were submitted first.
   EXPECT_LT(max_high, min_low);
+
+  std::map<std::uint64_t, std::string> shared_order;  // completion -> tenant
+  for (auto& [tenant, f] : shared) {
+    const auto r = f.get();
+    ASSERT_TRUE(r.ok) << r.error;
+    shared_order.emplace(r.completion_seq, tenant);
+  }
+  // The middle class ran strictly between the other two...
+  EXPECT_LT(max_high, shared_order.begin()->first);
+  EXPECT_LT(shared_order.rbegin()->first, min_low);
+  // ...and served its tenants 2:1 by weight: after k completions the
+  // fast tenant holds 2k/3 of them, within one slot.
+  int k = 0, fast_served = 0;
+  std::string sequence;
+  for (const auto& [seq, tenant] : shared_order) {
+    ++k;
+    if (tenant == "fast") ++fast_served;
+    sequence += tenant == "fast" ? 'F' : 'S';
+    EXPECT_LE(std::abs(3 * fast_served - 2 * k), 3) << sequence;
+  }
+  EXPECT_EQ(fast_served, 6);
 }
 
 TEST(Gateway, BackpressureRejectsWhenConfigured) {

@@ -78,7 +78,7 @@ TEST(ShardedRegistry, ArchitectureQueryAndAnnotations) {
 // pull, resolve, and list. Run under tests/run_tsan.sh to prove the
 // shard locking (each shard a shared_mutex) is race-free.
 TEST(ShardedRegistryStress, ConcurrentPushPullTag) {
-  ShardedRegistry registry(8);
+  ShardedRegistry registry;
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
   constexpr int kImagesPerWriter = 32;
